@@ -5,7 +5,6 @@
 //	experiments -run table5            # one experiment
 //	experiments -run all               # everything
 //	experiments -run figure5 -hosts 20000
-//	experiments -loadtest 8 -loadtest-secs 5   # provider throughput load test
 //	experiments -loadrig -loadrig-workers 64   # fleet rig over real sockets
 //	experiments -idxbench -bench-out BENCH_prefixtable.json   # serving-index bench
 //	experiments -streambench -bench-out BENCH_stream.json     # streaming-pipeline bench
@@ -28,8 +27,8 @@
 // against server-side rate limits (-loadrig-rate, -loadrig-inflight).
 //
 // Index bench mode (-idxbench) measures the serving-path prefix index:
-// the map-backed striped baseline against the flat open-addressing
-// prefix table on identical workloads at each -idxbench-sizes count.
+// the server's flat open-addressing prefix table against the map-backed
+// reference model on identical workloads at each -idxbench-sizes count.
 // With -idxbench-baseline it also guards the run against a committed
 // BENCH_prefixtable.json and fails if the flat design regressed.
 //
@@ -53,7 +52,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"syscall"
-	"time"
 
 	"sbprivacy/internal/core"
 	"sbprivacy/internal/corpus"
@@ -72,10 +70,6 @@ func run() int {
 		scale  = flag.Int("scale", 100, "blacklist scale divisor")
 		seed   = flag.Int64("seed", 2015, "generation seed")
 		csvDir = flag.String("csv", "", "directory to write the per-host Figure 5/6 series as CSV")
-
-		loadWorkers = flag.Int("loadtest", 0, "run a provider load test with N concurrent workers instead of experiments")
-		loadBatch   = flag.Int("loadtest-batch", 32, "full-hash requests per batch call in the load test")
-		loadSecs    = flag.Int("loadtest-secs", 5, "load test duration in seconds")
 
 		campaign     = flag.Bool("campaign", false, "run a multi-day synthetic workload campaign instead of experiments")
 		days         = flag.Int("days", 7, "campaign length in virtual days")
@@ -184,14 +178,6 @@ func run() int {
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: loadrig: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *loadWorkers > 0 {
-		if err := loadTest(*loadWorkers, *loadBatch, time.Duration(*loadSecs)*time.Second, *scale, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			return 1
 		}
 		return 0

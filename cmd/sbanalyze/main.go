@@ -212,7 +212,7 @@ func run() int {
 			continue
 		}
 		for _, ds := range blacklist.InversionDatasets {
-			res, err := blacklist.Invert(u.Server, li.Name, ds.Name, u.Datasets[ds.Name])
+			res, err := blacklist.Invert(u.Server, li.Name, ds.Name, u.Datasets()[ds.Name])
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "sbanalyze: %v\n", err)
 				return 1

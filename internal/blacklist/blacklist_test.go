@@ -2,6 +2,8 @@ package blacklist
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"sbprivacy/internal/hashx"
@@ -54,11 +56,42 @@ func TestBuildUniverseYandex(t *testing.T) {
 		t.Errorf("ydx-malware-shavar size = %d, want ~%d", n, want)
 	}
 	// All four datasets built.
-	if len(u.Datasets) != 4 {
-		t.Errorf("datasets = %d", len(u.Datasets))
+	if len(u.Datasets()) != 4 {
+		t.Errorf("datasets = %d", len(u.Datasets()))
 	}
 	if _, err := BuildUniverse(UniverseConfig{Provider: Provider(42)}); err == nil {
 		t.Error("unknown provider: want error")
+	}
+}
+
+// TestDatasetsLazyDeterministicConcurrent: the Table 9 corpora are built
+// on first use, so concurrent first callers must all see the one build,
+// and it must be what a second same-seed universe builds.
+func TestDatasetsLazyDeterministicConcurrent(t *testing.T) {
+	t.Parallel()
+	build := func() *Universe {
+		u, err := BuildUniverse(UniverseConfig{Provider: Yandex, Scale: 500, Seed: 7})
+		if err != nil {
+			t.Fatalf("BuildUniverse: %v", err)
+		}
+		return u
+	}
+	u := build()
+	got := make([]map[string][]string, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = u.Datasets()
+		}(i)
+	}
+	wg.Wait()
+	want := build().Datasets()
+	for i, ds := range got {
+		if !reflect.DeepEqual(ds, want) {
+			t.Fatalf("caller %d saw corpora differing from a same-seed build", i)
+		}
 	}
 }
 
@@ -164,7 +197,7 @@ func TestInvertMatchesTable10(t *testing.T) {
 		{"ydx-phish-shavar", "Phishing list", 0.049, 0.02},
 	}
 	for _, tc := range tests {
-		res, err := Invert(u.Server, tc.list, tc.dataset, u.Datasets[tc.dataset])
+		res, err := Invert(u.Server, tc.list, tc.dataset, u.Datasets()[tc.dataset])
 		if err != nil {
 			t.Fatalf("Invert(%s, %s): %v", tc.list, tc.dataset, err)
 		}
@@ -187,7 +220,7 @@ func TestInvertRecoversCleartext(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildUniverse: %v", err)
 	}
-	res, err := Invert(u.Server, "goog-malware-shavar", "DNS Census-13", u.Datasets["DNS Census-13"])
+	res, err := Invert(u.Server, "goog-malware-shavar", "DNS Census-13", u.Datasets()["DNS Census-13"])
 	if err != nil {
 		t.Fatalf("Invert: %v", err)
 	}

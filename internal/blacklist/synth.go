@@ -3,6 +3,7 @@ package blacklist
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"sbprivacy/internal/hashx"
 	"sbprivacy/internal/sbserver"
@@ -36,14 +37,20 @@ type UniverseConfig struct {
 // where matching needs only the prefix, never the digest.
 type Universe struct {
 	Server *sbserver.Server
-	// Datasets are the scaled Table 9 corpora: canonical expressions.
-	Datasets map[string][]string
 	// Inventory is the list metadata used to build the server.
 	Inventory []ListInfo
 	// pools records, per list, the cleartext expressions behind the
 	// planted prefixes (orphan-backed first, then single-digest ones).
 	pools map[string][]string
 	cfg   UniverseConfig
+
+	// The Table 9 corpora dwarf the lists and only the inversion audits
+	// read them, so Datasets builds them on first use. rng is the
+	// generator as populateList left it; nothing else draws from it, so
+	// the corpora are what an eager build at that point would produce.
+	rng          *rand.Rand
+	datasetsOnce sync.Once
+	datasets     map[string][]string
 }
 
 // scaled divides a paper count by the scale, keeping at least 1 for
@@ -73,7 +80,7 @@ func scaledRate(count, paperTotal, scaledTotal int) int {
 	return v
 }
 
-// BuildUniverse constructs the synthetic database and datasets.
+// BuildUniverse constructs the synthetic database.
 func BuildUniverse(cfg UniverseConfig) (*Universe, error) {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 100
@@ -84,12 +91,11 @@ func BuildUniverse(cfg UniverseConfig) (*Universe, error) {
 	}
 	u := &Universe{
 		Server:    sbserver.New(cfg.ServerOptions...),
-		Datasets:  make(map[string][]string),
 		Inventory: inventory,
 		pools:     make(map[string][]string),
 		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	for _, li := range inventory {
 		if err := u.Server.CreateList(li.Name, li.Description); err != nil {
@@ -98,11 +104,10 @@ func BuildUniverse(cfg UniverseConfig) (*Universe, error) {
 		if li.Prefixes <= 0 {
 			continue // unknown (*) or empty lists stay empty
 		}
-		if err := u.populateList(li, rng); err != nil {
+		if err := u.populateList(li, u.rng); err != nil {
 			return nil, err
 		}
 	}
-	u.buildDatasets(rng)
 	return u, nil
 }
 
@@ -179,11 +184,21 @@ func shortName(list string) string {
 	return list
 }
 
+// Datasets returns the scaled Table 9 corpora (canonical expressions),
+// keyed by dataset name. The first call builds all four, in
+// InversionDatasets order; the result is deterministic in the seed and
+// safe for concurrent use.
+func (u *Universe) Datasets() map[string][]string {
+	u.datasetsOnce.Do(func() { u.datasets = u.buildDatasets(u.rng) })
+	return u.datasets
+}
+
 // buildDatasets constructs the scaled Table 9 corpora. For each
 // (list, dataset) cell of Table 10 the dataset absorbs rate * listSize of
 // the list's expression pool — drawn from the front, so orphan-backed
 // prefixes participate too, as they do in the real inversion.
-func (u *Universe) buildDatasets(rng *rand.Rand) {
+func (u *Universe) buildDatasets(rng *rand.Rand) map[string][]string {
+	datasets := make(map[string][]string, len(InversionDatasets))
 	for _, ds := range InversionDatasets {
 		size := scaled(ds.Entries, u.cfg.Scale*10) // datasets dwarf the lists; scale harder
 		entries := make([]string, 0, size)
@@ -212,8 +227,9 @@ func (u *Universe) buildDatasets(rng *rand.Rand) {
 		for i := 0; len(entries) < size; i++ {
 			entries = append(entries, fmt.Sprintf("clean-%s-%06d.invalid/%d", shortDS(ds.Name), i, rng.Intn(1000)))
 		}
-		u.Datasets[ds.Name] = entries
+		datasets[ds.Name] = entries
 	}
+	return datasets
 }
 
 func shortDS(name string) string {

@@ -30,7 +30,7 @@ func runTable9(ctx context.Context, cfg Config) (*Result, error) {
 	t := newTable()
 	t.row("dataset", "description", "#entries (paper)", fmt.Sprintf("#entries (synthetic, /%d)", cfg.Scale*10))
 	for _, ds := range blacklist.InversionDatasets {
-		t.row(ds.Name, ds.Description, ds.Entries, len(u.Datasets[ds.Name]))
+		t.row(ds.Name, ds.Description, ds.Entries, len(u.Datasets()[ds.Name]))
 	}
 	return &Result{
 		ID:    "table9",
@@ -59,7 +59,7 @@ func runTable10(ctx context.Context, cfg Config) (*Result, error) {
 				if !ok {
 					continue
 				}
-				res, err := blacklist.Invert(u.Server, li.Name, ds.Name, u.Datasets[ds.Name])
+				res, err := blacklist.Invert(u.Server, li.Name, ds.Name, u.Datasets()[ds.Name])
 				if err != nil {
 					return nil, err
 				}

@@ -1,11 +1,10 @@
 package loadrig
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+
+	"sbprivacy/internal/benchkit"
 )
 
 // ReportSchema identifies the BENCH_loadrig.json layout; bump it when a
@@ -149,31 +148,11 @@ func (r *Report) Validate() error {
 // WriteFile writes the report as indented JSON to path, validating it
 // first — a BENCH file that fails its own schema is worse than no file.
 func (r *Report) WriteFile(path string) error {
-	if err := r.Validate(); err != nil {
-		return fmt.Errorf("loadrig: refusing to write invalid report: %w", err)
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return benchkit.WriteFile("loadrig", path, r, (*Report).Validate)
 }
 
 // ReadFile reads and validates a report, rejecting unknown fields so a
 // schema drift between writer and reader fails loudly.
 func ReadFile(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("loadrig: %s: %w", path, err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("loadrig: %s: %w", path, err)
-	}
-	return &r, nil
+	return benchkit.ReadFile("loadrig", path, (*Report).Validate)
 }

@@ -8,34 +8,20 @@ import (
 	"sbprivacy/internal/wire"
 )
 
-// servingIndex is the contract between the Server and its serving-path
-// prefix index: the structure a full-hash lookup reads and a
-// Download-driven list mutation writes. Two implementations exist —
-// the flat open-addressing index (flatIndex, the default) and the
-// map-backed striped index (stripedIndex, kept compiled and
-// benchmarked as the ablation baseline, exactly as the seed's
-// global-lock server is kept for BenchmarkAblationServerSeedDesign).
-// The differential fuzz harness (FuzzIndexDifferential) holds the two
-// to identical observable behaviour.
-type servingIndex interface {
-	// add inserts an entry for p, keeping the per-prefix entries
-	// grouped by ascending list rank (insertion order within a list is
-	// preserved).
-	add(p hashx.Prefix, e indexEntry)
-	// remove deletes the entry for (rank, digest) under p, if present;
-	// removing an absent entry is a no-op.
-	remove(p hashx.Prefix, rank uint32, d hashx.Digest)
-	// lookup appends the full-hash entries matching p to dst and
-	// returns the extended slice. With a dst whose capacity covers the
-	// matches, a lookup performs zero allocations.
-	lookup(p hashx.Prefix, dst []wire.FullHashEntry) []wire.FullHashEntry
-}
+// numShards is the stripe count of the serving index. A power of two so
+// shard selection is a mask of the prefix's low bits; SHA-256 prefixes
+// are uniform, so the stripes load-balance for free.
+const numShards = 128
 
-// Interface compliance for both serving-index designs.
-var (
-	_ servingIndex = (*flatIndex)(nil)
-	_ servingIndex = (*stripedIndex)(nil)
-)
+// indexEntry is one full digest served for a prefix, tagged with the
+// owning list. rank is the list's creation rank: entries for a prefix
+// are kept grouped by ascending rank so FullHashes emits matches in
+// list-creation order.
+type indexEntry struct {
+	rank   uint32
+	list   string
+	digest hashx.Digest
+}
 
 // flatStripe is one independently locked flat prefix table. The Table
 // spans several cache lines on its own, so neighbouring stripes' lock
@@ -45,12 +31,13 @@ type flatStripe struct {
 	t  prefixtable.Table
 }
 
-// flatIndex is the default serving-path index: the flat
-// open-addressing prefix table of internal/prefixtable, lock-striped
-// by prefix low bits with the same stripe count as the map-backed
-// baseline so the two designs differ only in the per-stripe structure.
-// Growth is incremental inside each stripe, so a Downloads-driven
-// add/remove burst never holds a stripe's write lock for a full
+// flatIndex is the serving-path index, the structure a full-hash
+// lookup reads and a list mutation writes: the flat open-addressing
+// prefix table of internal/prefixtable, lock-striped by prefix low
+// bits. It is keyed by prefix across all lists, so a lookup touches
+// exactly one stripe per requested prefix and lookups on different
+// prefixes never contend. Growth is incremental inside each stripe, so
+// an add/remove burst never holds a stripe's write lock for a full
 // rehash.
 type flatIndex struct {
 	stripes [numShards]flatStripe
@@ -65,7 +52,8 @@ func (x *flatIndex) stripe(p hashx.Prefix) *flatStripe {
 	return &x.stripes[uint32(p)&(numShards-1)]
 }
 
-// add implements servingIndex.
+// add inserts an entry for p, keeping the per-prefix entries grouped
+// by ascending list rank (insertion order within a list is preserved).
 //
 //sbcheck:hotpath
 func (x *flatIndex) add(p hashx.Prefix, e indexEntry) {
@@ -75,7 +63,8 @@ func (x *flatIndex) add(p hashx.Prefix, e indexEntry) {
 	st.t.Add(p, e.rank, e.list, e.digest)
 }
 
-// remove implements servingIndex.
+// remove deletes the entry for (rank, digest) under p, if present;
+// removing an absent entry is a no-op.
 //
 //sbcheck:hotpath
 func (x *flatIndex) remove(p hashx.Prefix, rank uint32, d hashx.Digest) {
@@ -85,10 +74,11 @@ func (x *flatIndex) remove(p hashx.Prefix, rank uint32, d hashx.Digest) {
 	st.t.Remove(p, rank, d)
 }
 
-// lookup implements servingIndex. Orphan prefixes have no index
-// entries and append nothing — the client hears only silence for them.
-// With a dst whose capacity covers the matches, a lookup performs zero
-// allocations (TestPrefixTableLookupAllocs gates this).
+// lookup appends the full-hash entries matching p to dst and returns
+// the extended slice. Orphan prefixes have no index entries and append
+// nothing — the client hears only silence for them. With a dst whose
+// capacity covers the matches, a lookup performs zero allocations
+// (TestPrefixTableLookupAllocs gates this).
 //
 //sbcheck:hotpath
 func (x *flatIndex) lookup(p hashx.Prefix, dst []wire.FullHashEntry) []wire.FullHashEntry {

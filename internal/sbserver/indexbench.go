@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"sbprivacy/internal/hashx"
@@ -13,10 +14,10 @@ import (
 	"sbprivacy/internal/wire"
 )
 
-// IndexBenchConfig configures one serving-index benchmark run: both
-// index designs (the map-backed ablation baseline and the flat
-// open-addressing prefix table) are measured on identical
-// deterministic workloads at each size.
+// IndexBenchConfig configures one serving-index benchmark run: the
+// server's flat open-addressing index and the map-backed reference
+// model are measured on identical deterministic workloads at each
+// size.
 type IndexBenchConfig struct {
 	// Sizes lists the prefix counts to load, e.g. 1e5/1e6/1e7 for the
 	// paper-scale trajectory. Must be positive and strictly ascending.
@@ -203,4 +204,98 @@ func perOp(d time.Duration, ops int) float64 {
 		return 0.01
 	}
 	return ns
+}
+
+// servingIndex is the seam the A/B harness (RunIndexBench,
+// FuzzIndexDifferential) drives both designs through. The Server holds
+// a concrete *flatIndex and does not use it.
+type servingIndex interface {
+	add(p hashx.Prefix, e indexEntry)
+	remove(p hashx.Prefix, rank uint32, d hashx.Digest)
+	lookup(p hashx.Prefix, dst []wire.FullHashEntry) []wire.FullHashEntry
+}
+
+var (
+	_ servingIndex = (*flatIndex)(nil)
+	_ servingIndex = (*stripedIndex)(nil)
+)
+
+// indexShard is one stripe of the map model: an independently locked
+// slice of the global prefix -> digests mapping.
+type indexShard struct {
+	mu sync.RWMutex
+	m  map[hashx.Prefix][]indexEntry
+}
+
+// stripedIndex is the reference model flatIndex is measured and
+// fuzz-compared against: Go maps striped by prefix low bits, with the
+// same stripe count so the two designs differ only in the per-stripe
+// structure. It is the "old design" column of BENCH_prefixtable.json;
+// no Server can be built on it.
+type stripedIndex struct {
+	shards [numShards]indexShard
+}
+
+func newStripedIndex() *stripedIndex {
+	x := &stripedIndex{}
+	for i := range x.shards {
+		x.shards[i].m = make(map[hashx.Prefix][]indexEntry)
+	}
+	return x
+}
+
+//sbcheck:hotpath
+func (x *stripedIndex) shard(p hashx.Prefix) *indexShard {
+	return &x.shards[uint32(p)&(numShards-1)]
+}
+
+// add inserts an entry for p, keeping the per-prefix slice grouped by
+// ascending list rank (insertion order within a list is preserved).
+func (x *stripedIndex) add(p hashx.Prefix, e indexEntry) {
+	sh := x.shard(p)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	entries := sh.m[p]
+	i := len(entries)
+	for i > 0 && entries[i-1].rank > e.rank {
+		i--
+	}
+	entries = append(entries, indexEntry{})
+	copy(entries[i+1:], entries[i:])
+	entries[i] = e
+	sh.m[p] = entries
+}
+
+// remove deletes the entry for (rank, digest) under p, if present.
+func (x *stripedIndex) remove(p hashx.Prefix, rank uint32, d hashx.Digest) {
+	sh := x.shard(p)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	entries := sh.m[p]
+	for i, e := range entries {
+		if e.rank == rank && e.digest == d {
+			entries = append(entries[:i], entries[i+1:]...)
+			break
+		}
+	}
+	if len(entries) == 0 {
+		delete(sh.m, p)
+	} else {
+		sh.m[p] = entries
+	}
+}
+
+// lookup appends the full-hash entries matching p to dst and returns the
+// extended slice. With a dst whose capacity covers the matches, a lookup
+// performs zero allocations (TestShardLookupAllocs gates this).
+//
+//sbcheck:hotpath
+func (x *stripedIndex) lookup(p hashx.Prefix, dst []wire.FullHashEntry) []wire.FullHashEntry {
+	sh := x.shard(p)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	for _, e := range sh.m[p] {
+		dst = append(dst, wire.FullHashEntry{List: e.list, Digest: e.digest})
+	}
+	return dst
 }

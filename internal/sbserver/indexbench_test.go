@@ -34,6 +34,14 @@ func TestRunIndexBenchSmoke(t *testing.T) {
 		}
 	}
 
+	// The map model exists only for this harness: a Server's index is
+	// the concrete flat design, so this assignment stops compiling if a
+	// selector or a seam comes back.
+	var served *flatIndex = New().idx
+	if served == nil {
+		t.Fatal("New() server has no serving index")
+	}
+
 	path := filepath.Join(t.TempDir(), "BENCH_prefixtable.json")
 	if err := rep.WriteFile(path); err != nil {
 		t.Fatalf("WriteFile: %v", err)

@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"sbprivacy/internal/deltacoded"
 	"sbprivacy/internal/hashx"
 	"sbprivacy/internal/urlx"
 	"sbprivacy/internal/wire"
@@ -67,17 +66,11 @@ type list struct {
 	rank        uint32 // creation rank; orders FullHashes entries
 	chunks      []wire.Chunk
 	nextChunk   uint32
-	// byPrefix maps each live prefix to the full digests sharing it.
-	// Orphan prefixes (paper Section 7.2) map to an empty slice. This is
-	// the list-management view; the serving path reads the serving index.
+	// byPrefix maps each live prefix to the full digests sharing it; its
+	// key set is the list's live prefix set. Orphan prefixes (paper
+	// Section 7.2) map to an empty slice. This is the list-management
+	// view; the serving path reads the serving index.
 	byPrefix map[hashx.Prefix][]hashx.Digest
-	// prefixes is the delta-coded image of the list's live prefix set —
-	// the structure Google deployed in Chromium for exactly this data
-	// (~2 bytes per prefix versus 4 raw). It is rebuilt on every chunk
-	// append, mirroring Chromium's rebuild-on-update model, and serves
-	// the sorted reads (PrefixesOf, the fresh-client download view)
-	// without re-sorting the map on every call.
-	prefixes *deltacoded.Table
 }
 
 // Server is an in-memory Safe Browsing provider. Safe for concurrent use.
@@ -86,13 +79,12 @@ type Server struct {
 	lists     map[string]*list
 	listOrder []string
 
-	idx    servingIndex
+	idx    *flatIndex
 	probes *probePipeline
 
 	minWaitSeconds uint32
 	cacheSeconds   uint32
 	now            func() time.Time
-	mapIndex       bool
 
 	probeBuffer int
 	probeLogCap int
@@ -139,15 +131,6 @@ func WithProbeOverflow(policy OverflowPolicy) Option {
 	return func(s *Server) { s.probePolicy = policy }
 }
 
-// WithMapIndex selects the map-backed striped serving index instead of
-// the default flat open-addressing prefix table. It exists as the
-// ablation baseline: BENCH_prefixtable.json records both designs on
-// the same workload, and the differential fuzz harness holds them to
-// identical behaviour. Production servers have no reason to set it.
-func WithMapIndex() Option {
-	return func(s *Server) { s.mapIndex = true }
-}
-
 // New creates an empty server and starts its probe pipeline.
 func New(opts ...Option) *Server {
 	s := &Server{
@@ -156,14 +139,10 @@ func New(opts ...Option) *Server {
 		cacheSeconds:   DefaultCacheSeconds,
 		now:            time.Now,
 		probeBuffer:    DefaultProbeBuffer,
+		idx:            newFlatIndex(),
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.mapIndex {
-		s.idx = newStripedIndex()
-	} else {
-		s.idx = newFlatIndex()
 	}
 	s.probes = newProbePipeline(s.probeBuffer, s.probeLogCap, s.probePolicy)
 	// The drainer goroutine references only the pipeline, so an
@@ -212,7 +191,6 @@ func (s *Server) CreateList(name, description string) error {
 		rank:        uint32(len(s.listOrder)),
 		nextChunk:   1,
 		byPrefix:    make(map[hashx.Prefix][]hashx.Digest),
-		prefixes:    &deltacoded.Table{},
 	}
 	s.listOrder = append(s.listOrder, name)
 	return nil
@@ -236,8 +214,7 @@ func (s *Server) ListDescription(name string) (string, error) {
 	return l.description, nil
 }
 
-// ListLen returns the number of live prefixes in a list, read from the
-// delta-coded prefix image (which tracks the digest map exactly).
+// ListLen returns the number of live prefixes in a list.
 func (s *Server) ListLen(name string) (int, error) {
 	l, err := s.getList(name)
 	if err != nil {
@@ -245,7 +222,7 @@ func (s *Server) ListLen(name string) (int, error) {
 	}
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return l.prefixes.Len(), nil
+	return len(l.byPrefix), nil
 }
 
 // AddExpressions blacklists canonicalized decomposition expressions
@@ -340,14 +317,6 @@ func (s *Server) AddOrphanPrefixes(listName string, prefixes []hashx.Prefix) err
 	return nil
 }
 
-// AddPrefixes inserts raw prefixes for expressions the server also knows
-// in full (prefix -> digest of the expression string). Used by the
-// tracking shadow database of Algorithm 1, where the provider chooses the
-// prefixes deliberately.
-func (s *Server) AddPrefixes(listName string, expressions []string) error {
-	return s.AddExpressions(listName, expressions)
-}
-
 // RemoveExpressions removes expressions; prefixes whose digest set
 // becomes empty are retired with a sub chunk.
 func (s *Server) RemoveExpressions(listName string, expressions []string) error {
@@ -386,10 +355,9 @@ func (s *Server) RemoveExpressions(listName string, expressions []string) error 
 	return nil
 }
 
-// appendChunk records a new chunk and folds its prefixes into the
-// list's delta-coded prefix image (add chunks merge in, sub chunks
-// drop out); the caller holds l.mu. Every mutation of the live prefix
-// set flows through here, so the delta table tracks byPrefix exactly.
+// appendChunk records a new chunk; the caller holds l.mu and has already
+// applied the chunk's prefixes to byPrefix, so replaying the chunks in
+// order reconstructs the byPrefix key set.
 func (l *list) appendChunk(typ wire.ChunkType, prefixes []hashx.Prefix) {
 	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i] < prefixes[j] })
 	l.chunks = append(l.chunks, wire.Chunk{
@@ -399,11 +367,6 @@ func (l *list) appendChunk(typ wire.ChunkType, prefixes []hashx.Prefix) {
 		Prefixes: prefixes,
 	})
 	l.nextChunk++
-	if typ == wire.ChunkAdd {
-		l.prefixes = l.prefixes.Merge(prefixes, nil)
-	} else {
-		l.prefixes = l.prefixes.Merge(nil, prefixes)
-	}
 }
 
 // Download serves an incremental update: all chunks newer than the
@@ -430,7 +393,7 @@ func (s *Server) Download(req *wire.DownloadRequest) (*wire.DownloadResponse, er
 // the moment information leaks from client to provider: the prefixes in
 // req are a function of the URL the client is visiting.
 //
-// The lookup reads one striped-index shard per prefix, so requests for
+// The lookup reads one index stripe per prefix, so requests for
 // different prefixes proceed fully in parallel; the probe is handed to
 // the async pipeline rather than appended under a write lock.
 //
@@ -526,31 +489,21 @@ func (s *Server) ProbeStats() ProbeStats {
 }
 
 // PrefixesOf returns the sorted live prefixes of a list (the view a fresh
-// client downloads). The read decodes the list's delta-coded prefix
-// image — already sorted by construction — instead of collecting and
-// re-sorting the digest map on every call.
+// client downloads). Each call collects and sorts the list's prefix
+// set, so it belongs in set-up and audit code, not on a request path.
 func (s *Server) PrefixesOf(listName string) ([]hashx.Prefix, error) {
 	l, err := s.getList(listName)
 	if err != nil {
 		return nil, err
 	}
 	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.prefixes.Prefixes(), nil
-}
-
-// ListSizeBytes returns the in-memory footprint of a list's
-// delta-coded prefix image — the provider-side counterpart of the
-// paper's Table 2 storage comparison (roughly 2 bytes per prefix
-// versus 4 raw for uniformly dense lists).
-func (s *Server) ListSizeBytes(name string) (int, error) {
-	l, err := s.getList(name)
-	if err != nil {
-		return 0, err
+	out := make([]hashx.Prefix, 0, len(l.byPrefix))
+	for p := range l.byPrefix {
+		out = append(out, p)
 	}
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.prefixes.SizeBytes(), nil
+	l.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out, nil
 }
 
 // DigestsOf returns the full digests recorded for a prefix in a list.

@@ -1,11 +1,10 @@
 package stream
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+
+	"sbprivacy/internal/benchkit"
 )
 
 // BenchSchema identifies the BENCH_stream.json layout; bump it when a
@@ -94,31 +93,11 @@ func (r *BenchReport) Validate() error {
 // validating it first — a BENCH file that fails its own schema is
 // worse than no file.
 func (r *BenchReport) WriteBenchFile(path string) error {
-	if err := r.Validate(); err != nil {
-		return fmt.Errorf("stream: refusing to write invalid report: %w", err)
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return benchkit.WriteFile("stream", path, r, (*BenchReport).Validate)
 }
 
 // ReadBenchFile reads and validates a report, rejecting unknown fields
 // so a schema drift between writer and reader fails loudly.
 func ReadBenchFile(path string) (*BenchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r BenchReport
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("stream: %s: %w", path, err)
-	}
-	if err := r.Validate(); err != nil {
-		return nil, fmt.Errorf("stream: %s: %w", path, err)
-	}
-	return &r, nil
+	return benchkit.ReadFile("stream", path, (*BenchReport).Validate)
 }

@@ -66,6 +66,7 @@ var defaultPackages = []string{
 	"internal/loadrig",
 	"internal/prefixtable",
 	"internal/stream",
+	"internal/benchkit",
 }
 
 // defaultDocs are the markdown files whose relative links must resolve.
