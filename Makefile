@@ -61,6 +61,10 @@ idxbench-guard:
 # the same directory from another, rendering the rolling dashboard and
 # exiting once the feed goes idle; a batch replay of the sealed store
 # must then reproduce the live run's final snapshot byte-for-byte.
+# A second leg holds the store to its order: a 10-day campaign tailed
+# through a 7-day window must show 0 in the final dashboard's "late"
+# column for both stages — the store hands a single-producer feed back
+# in the order it was written, so nothing arrives behind the window.
 # CI's live-smoke job calls this. Binaries are prebuilt so the two
 # processes start (and die) cleanly under timeout.
 live-smoke:
@@ -79,7 +83,17 @@ live-smoke:
 		-index "$$work/store/index.urls" -longitudinal \
 		-snapshot-out "$$work/batch.txt" > /dev/null; \
 	cmp "$$work/live.txt" "$$work/batch.txt"; \
-	echo "live-smoke: live snapshot matches batch replay"
+	echo "live-smoke: live snapshot matches batch replay"; \
+	timeout 120 "$$work/experiments" -campaign -days 10 -clients 50 -seed 42 \
+		-campaign-store "$$work/store7" > "$$work/campaign7.log" & camp=$$!; \
+	timeout 180 "$$work/sbanalyze" -live "$$work/store7" -window 7 \
+		-refresh 1 -exit-idle 2 -follow-poll 20ms > "$$work/live7.log"; \
+	wait $$camp; \
+	awk '/^(reident|linkage) /{late[$$1]=$$NF} \
+		END{if (!("reident" in late && "linkage" in late)) {print "live-smoke: no dashboard in the windowed run"; exit 1}; \
+		for (s in late) if (late[s] != 0) {print "live-smoke: stage " s " dropped " late[s] " probes as late"; bad=1}; \
+		exit bad}' "$$work/live7.log"; \
+	echo "live-smoke: 7-day window over a 10-day campaign dropped nothing as late"
 
 # streambench-smoke pumps a small captured campaign feed through the
 # full streaming pipeline, then validates the emitted BENCH_stream.json
@@ -105,8 +119,9 @@ vet:
 # error checking, lock-scope blocking, goroutine stop paths, context
 # flow, hot-path allocation budget) and go vet; CI's lint job gates on
 # it. The -waiver-budget flag holds the per-analyzer count of
-# sbcheck:ignore comments to the committed lint-waivers.txt, so new
-# suppressions take a reviewed edit to that file.
+# sbcheck:ignore comments equal to the committed lint-waivers.txt, so a
+# new suppression takes a reviewed edit to that file and a removed one
+# lowers its line in the same PR.
 lint:
 	$(GO) run ./tools/sbcheck -waiver-budget lint-waivers.txt ./...
 	$(GO) vet ./...

@@ -11,7 +11,6 @@ import (
 
 	"sbprivacy"
 	"sbprivacy/internal/mitigation"
-	"sbprivacy/internal/prefixdb"
 )
 
 const list = "ydx-porno-hosts-top-shavar"
@@ -43,19 +42,20 @@ func main() {
 	fmt.Printf("provider re-identifies: domain=%s candidates=%v\n\n",
 		re.CommonDomain, re.Candidates)
 
-	// Mitigated client: dummies + one-prefix-at-a-time.
-	prefixes, err := server.PrefixesOf(list)
+	// Mitigated client: the same client code with a query policy that
+	// sends the root prefix first and pads every request with dummies.
+	mitigated := sbprivacy.NewClient(sbprivacy.LocalTransport{Server: server},
+		[]string{list}, sbprivacy.WithCookie("mitigated"),
+		sbprivacy.WithQueryPolicy(&sbprivacy.OnePrefixQueryPolicy{Dummies: 4}))
+	must(mitigated.Update(ctx, true))
+	m, err := mitigated.CheckURL(ctx, "http://fr.xhamster.com/user/video")
 	must(err)
-	checker := &mitigation.Checker{
-		Transport: sbprivacy.LocalTransport{Server: server},
-		Store:     prefixdb.NewSortedSet(prefixes),
-		Cookie:    "mitigated",
-		Dummies:   4,
+	outcome := "malicious"
+	if m.Safe {
+		outcome = "safe"
 	}
-	res, err := checker.CheckURL(ctx, "http://fr.xhamster.com/user/video")
-	must(err)
 	fmt.Printf("mitigated client: outcome=%s requests=%d leaked=%d prefixes\n",
-		res.Outcome, res.Requests, len(res.LeakedPrefixes))
+		outcome, mitigated.Stats().FullHashRequests, len(m.SentPrefixes))
 	fmt.Println("    (root queried first; padded with deterministic dummies)")
 
 	// The single-prefix k-anonymity gain from dummies.

@@ -99,11 +99,10 @@ func PrefixFromBytes(b []byte) (Prefix, error) {
 	return Prefix(binary.BigEndian.Uint32(b)), nil
 }
 
-// FNV32a returns the 32-bit FNV-1a hash of s. The probe pipeline and
-// the probe store both use it to stripe work by client cookie (cheap,
-// uniform, and not security-sensitive — unlike the SHA-256 digests
-// above). Each caller reduces the hash modulo its own stripe count, so
-// lane numbers are not comparable across components.
+// FNV32a returns the 32-bit FNV-1a hash of s. The server's probe
+// pipeline uses it to stripe work by client cookie (cheap, uniform, and
+// not security-sensitive — unlike the SHA-256 digests above), reducing
+// the hash modulo its stripe count.
 func FNV32a(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {

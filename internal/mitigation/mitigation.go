@@ -18,18 +18,17 @@
 //     knowledge. When no Type I URLs exist, sending the remaining
 //     prefixes would identify the exact URL, so the client asks for user
 //     consent instead.
+//
+// Both run inside the real client: DummyPolicy and OnePrefixPolicy
+// implement sbclient.QueryPolicy (sbclient.WithQueryPolicy), and
+// OnePrefixPolicy.Dummies composes the two.
 package mitigation
 
 import (
-	"context"
 	"encoding/binary"
 	"sort"
 
 	"sbprivacy/internal/hashx"
-	"sbprivacy/internal/prefixdb"
-	"sbprivacy/internal/sbclient"
-	"sbprivacy/internal/urlx"
-	"sbprivacy/internal/wire"
 )
 
 // DummyPrefixes derives k dummy prefixes deterministically from a real
@@ -124,171 +123,4 @@ func SingleKAnonymityGain(real hashx.Prefix, dummies int, kOf func(hashx.Prefix)
 		after += floor(kOf(d))
 	}
 	return before, after
-}
-
-// Outcome is the verdict of a privacy-aware lookup.
-type Outcome int
-
-// Outcomes.
-const (
-	// OutcomeSafe: no decomposition matched; nothing or only the root
-	// prefix leaked.
-	OutcomeSafe Outcome = iota + 1
-	// OutcomeMalicious: a queried decomposition was confirmed
-	// blacklisted.
-	OutcomeMalicious
-	// OutcomeNeedsConsent: the root answer was inconclusive and no
-	// Type I URLs exist, so sending the remaining prefixes would let the
-	// provider re-identify the exact URL; the user must decide.
-	OutcomeNeedsConsent
-)
-
-// String names the outcome.
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeSafe:
-		return "safe"
-	case OutcomeMalicious:
-		return "malicious"
-	case OutcomeNeedsConsent:
-		return "needs-consent"
-	default:
-		return "unknown"
-	}
-}
-
-// Result reports a privacy-aware lookup: verdict plus everything leaked.
-type Result struct {
-	Outcome Outcome
-	// Requests is the number of full-hash round trips performed.
-	Requests int
-	// LeakedPrefixes is the union of prefixes revealed to the provider.
-	LeakedPrefixes []hashx.Prefix
-	// MatchedExpression is the confirmed malicious decomposition, if any.
-	MatchedExpression string
-}
-
-// Checker performs lookups with the Section 8 mitigations enabled. It
-// keeps the standard local database behaviour but replaces the all-hits-
-// at-once full-hash query with the staged strategy.
-type Checker struct {
-	// Transport reaches the provider.
-	Transport sbclient.Transport
-	// Store is the local prefix database.
-	Store prefixdb.Store
-	// Cookie identifies the client to the provider.
-	Cookie string
-	// Dummies pads every request with this many dummies per real prefix.
-	Dummies int
-	// HasTypeI simulates pre-fetching and crawling the target to detect
-	// Type I URLs (the paper's proposed browser behaviour). When nil,
-	// no Type I URLs are assumed.
-	HasTypeI func(url string) bool
-	// ConsentToExactLeak authorizes sending the remaining prefixes even
-	// when that identifies the exact URL (the user clicked through the
-	// warning).
-	ConsentToExactLeak bool
-}
-
-// CheckURL looks up a URL one prefix at a time.
-func (c *Checker) CheckURL(ctx context.Context, rawURL string) (*Result, error) {
-	canon, err := urlx.Canonicalize(rawURL)
-	if err != nil {
-		return nil, err
-	}
-	decomps := canon.Decompositions()
-
-	type hit struct {
-		expr   string
-		prefix hashx.Prefix
-	}
-	var hits []hit
-	for _, d := range decomps {
-		p := hashx.SumPrefix(d)
-		if c.Store.Contains(p) {
-			hits = append(hits, hit{expr: d, prefix: p})
-		}
-	}
-	res := &Result{Outcome: OutcomeSafe}
-	if len(hits) == 0 {
-		return res, nil
-	}
-
-	// The root decomposition is the shortest expression: the registrable
-	// domain root when present among the hits, otherwise the last hit
-	// (decomposition order puts broader expressions later).
-	rootIdx := len(hits) - 1
-	for i, h := range hits {
-		if urlx.IsDomainDecomposition(h.expr) {
-			rootIdx = i // keep scanning: the broadest root is the last
-		}
-	}
-
-	query := func(batch []hit) (map[string]bool, error) {
-		prefixes := make([]hashx.Prefix, len(batch))
-		for i, h := range batch {
-			prefixes[i] = h.prefix
-		}
-		sent := AugmentRequest(prefixes, c.Dummies)
-		res.LeakedPrefixes = append(res.LeakedPrefixes, sent...)
-		res.Requests++
-		resp, err := c.Transport.FullHashes(ctx, &wire.FullHashRequest{
-			ClientID: c.Cookie,
-			Prefixes: sent,
-		})
-		if err != nil {
-			return nil, err
-		}
-		confirmed := make(map[string]bool)
-		for _, h := range batch {
-			full := hashx.Sum(h.expr)
-			for _, e := range resp.Entries {
-				if e.Digest == full {
-					confirmed[h.expr] = true
-				}
-			}
-		}
-		return confirmed, nil
-	}
-
-	// Stage 1: the root prefix only.
-	confirmed, err := query([]hit{hits[rootIdx]})
-	if err != nil {
-		return nil, err
-	}
-	if confirmed[hits[rootIdx].expr] {
-		res.Outcome = OutcomeMalicious
-		res.MatchedExpression = hits[rootIdx].expr
-		return res, nil
-	}
-	rest := make([]hit, 0, len(hits)-1)
-	for i, h := range hits {
-		if i != rootIdx {
-			rest = append(rest, h)
-		}
-	}
-	if len(rest) == 0 {
-		return res, nil
-	}
-
-	// Stage 2: remaining prefixes, only when Type I ambiguity protects
-	// the client (the provider then learns the domain, not the URL) or
-	// the user consented.
-	hasTypeI := c.HasTypeI != nil && c.HasTypeI(canon.String())
-	if !hasTypeI && !c.ConsentToExactLeak {
-		res.Outcome = OutcomeNeedsConsent
-		return res, nil
-	}
-	confirmed, err = query(rest)
-	if err != nil {
-		return nil, err
-	}
-	for _, h := range rest {
-		if confirmed[h.expr] {
-			res.Outcome = OutcomeMalicious
-			res.MatchedExpression = h.expr
-			return res, nil
-		}
-	}
-	return res, nil
 }

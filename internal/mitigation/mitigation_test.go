@@ -1,15 +1,11 @@
 package mitigation
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
 	"sbprivacy/internal/core"
 	"sbprivacy/internal/hashx"
-	"sbprivacy/internal/prefixdb"
-	"sbprivacy/internal/sbclient"
-	"sbprivacy/internal/sbserver"
 )
 
 func TestDummyPrefixesDeterministic(t *testing.T) {
@@ -160,171 +156,6 @@ func TestSingleKAnonymityGain(t *testing.T) {
 	}
 }
 
-type mitigationFixture struct {
-	server  *sbserver.Server
-	store   *prefixdb.SortedSet
-	checker *Checker
-}
-
-func newMitigationFixture(t *testing.T, blacklisted ...string) *mitigationFixture {
-	t.Helper()
-	srv := sbserver.New()
-	if err := srv.CreateList("goog-malware-shavar", "malware"); err != nil {
-		t.Fatalf("CreateList: %v", err)
-	}
-	if err := srv.AddExpressions("goog-malware-shavar", blacklisted); err != nil {
-		t.Fatalf("AddExpressions: %v", err)
-	}
-	prefixes, err := srv.PrefixesOf("goog-malware-shavar")
-	if err != nil {
-		t.Fatalf("PrefixesOf: %v", err)
-	}
-	store := prefixdb.NewSortedSet(prefixes)
-	return &mitigationFixture{
-		server: srv,
-		store:  store,
-		checker: &Checker{
-			Transport: sbclient.LocalTransport{Server: srv},
-			Store:     store,
-			Cookie:    "mitigated-client",
-		},
-	}
-}
-
-// TestOnePrefixMaliciousRoot: a blacklisted domain root is confirmed with
-// a single leaked prefix — strictly less than the vanilla client leaks.
-func TestOnePrefixMaliciousRoot(t *testing.T) {
-	t.Parallel()
-	f := newMitigationFixture(t, "evil.example/", "evil.example/attack.html")
-	res, err := f.checker.CheckURL(context.Background(), "http://evil.example/attack.html")
-	if err != nil {
-		t.Fatalf("CheckURL: %v", err)
-	}
-	if res.Outcome != OutcomeMalicious {
-		t.Errorf("outcome = %v", res.Outcome)
-	}
-	if res.MatchedExpression != "evil.example/" {
-		t.Errorf("matched = %q", res.MatchedExpression)
-	}
-	if res.Requests != 1 || len(res.LeakedPrefixes) != 1 {
-		t.Errorf("requests = %d, leaked = %v", res.Requests, res.LeakedPrefixes)
-	}
-}
-
-// TestOnePrefixSafeMiss: no local hits leak nothing.
-func TestOnePrefixSafeMiss(t *testing.T) {
-	t.Parallel()
-	f := newMitigationFixture(t, "evil.example/")
-	res, err := f.checker.CheckURL(context.Background(), "http://clean.example/")
-	if err != nil {
-		t.Fatalf("CheckURL: %v", err)
-	}
-	if res.Outcome != OutcomeSafe || res.Requests != 0 || len(res.LeakedPrefixes) != 0 {
-		t.Errorf("result = %+v", res)
-	}
-}
-
-// TestOnePrefixNeedsConsent: multiple hits, the root is clean, no Type I
-// URLs — sending the rest would identify the exact URL, so the checker
-// stops and asks.
-func TestOnePrefixNeedsConsent(t *testing.T) {
-	t.Parallel()
-	// Blacklist a deep page AND its domain root's prefix via a different
-	// digest (orphan), so the root query is inconclusive.
-	f := newMitigationFixture(t, "evil.example/attack.html")
-	if err := f.server.AddOrphanPrefixes("goog-malware-shavar",
-		[]hashx.Prefix{hashx.SumPrefix("evil.example/")}); err != nil {
-		t.Fatalf("AddOrphanPrefixes: %v", err)
-	}
-	f.store.Apply([]hashx.Prefix{hashx.SumPrefix("evil.example/")}, nil)
-
-	res, err := f.checker.CheckURL(context.Background(), "http://evil.example/attack.html")
-	if err != nil {
-		t.Fatalf("CheckURL: %v", err)
-	}
-	if res.Outcome != OutcomeNeedsConsent {
-		t.Errorf("outcome = %v, want needs-consent", res.Outcome)
-	}
-	if res.Requests != 1 {
-		t.Errorf("requests = %d, want 1 (root only)", res.Requests)
-	}
-	// The declined path must leave no residual leak: neither the
-	// checker's own leak accounting nor the provider's probe log may
-	// contain the exact-URL prefix.
-	pagePrefix := hashx.SumPrefix("evil.example/attack.html")
-	for _, p := range res.LeakedPrefixes {
-		if p == pagePrefix {
-			t.Error("needs-consent outcome leaked the exact-URL prefix")
-		}
-	}
-	f.server.Flush()
-	probes := f.server.Probes()
-	if len(probes) != 1 {
-		t.Fatalf("server saw %d probes, want 1 (root stage only)", len(probes))
-	}
-	for _, p := range probes[0].Prefixes {
-		if p == pagePrefix {
-			t.Error("provider received the exact-URL prefix despite declined consent")
-		}
-	}
-
-	// With consent the check completes and confirms the attack page.
-	f.checker.ConsentToExactLeak = true
-	res, err = f.checker.CheckURL(context.Background(), "http://evil.example/attack.html")
-	if err != nil {
-		t.Fatalf("CheckURL: %v", err)
-	}
-	if res.Outcome != OutcomeMalicious || res.MatchedExpression != "evil.example/attack.html" {
-		t.Errorf("result = %+v", res)
-	}
-	if res.Requests != 2 {
-		t.Errorf("requests = %d, want 2", res.Requests)
-	}
-}
-
-// TestOnePrefixTypeIProceeds: when the crawl finds Type I URLs, the
-// remaining prefixes go out without consent — the provider learns at
-// most the domain.
-func TestOnePrefixTypeIProceeds(t *testing.T) {
-	t.Parallel()
-	f := newMitigationFixture(t, "evil.example/attack.html")
-	if err := f.server.AddOrphanPrefixes("goog-malware-shavar",
-		[]hashx.Prefix{hashx.SumPrefix("evil.example/")}); err != nil {
-		t.Fatalf("AddOrphanPrefixes: %v", err)
-	}
-	f.store.Apply([]hashx.Prefix{hashx.SumPrefix("evil.example/")}, nil)
-	f.checker.HasTypeI = func(string) bool { return true }
-
-	res, err := f.checker.CheckURL(context.Background(), "http://evil.example/attack.html")
-	if err != nil {
-		t.Fatalf("CheckURL: %v", err)
-	}
-	if res.Outcome != OutcomeMalicious {
-		t.Errorf("outcome = %v", res.Outcome)
-	}
-	if res.Requests != 2 {
-		t.Errorf("requests = %d", res.Requests)
-	}
-}
-
-// TestDummiesWidenLeakedSet: with dummies enabled, the leaked prefix set
-// strictly contains the real prefix plus padding.
-func TestDummiesWidenLeakedSet(t *testing.T) {
-	t.Parallel()
-	f := newMitigationFixture(t, "evil.example/")
-	f.checker.Dummies = 7
-	res, err := f.checker.CheckURL(context.Background(), "http://evil.example/")
-	if err != nil {
-		t.Fatalf("CheckURL: %v", err)
-	}
-	if res.Outcome != OutcomeMalicious {
-		t.Errorf("outcome = %v", res.Outcome)
-	}
-	if len(res.LeakedPrefixes) != 8 {
-		t.Errorf("leaked = %d prefixes, want 8 (1 real + 7 dummies)", len(res.LeakedPrefixes))
-	}
-}
-
 // TestMultiPrefixDefeatsDummies demonstrates the paper's negative result:
 // even with dummies, the provider re-identifies a multi-prefix URL
 // because the real prefixes' joint presence is overwhelming evidence —
@@ -358,27 +189,5 @@ func TestMultiPrefixDefeatsDummies(t *testing.T) {
 	rePadded := idx.Reidentify(indexed)
 	if rePadded.CommonDomain != re.CommonDomain {
 		t.Errorf("padding changed the inference: %+v vs %+v", rePadded, re)
-	}
-}
-
-func TestOutcomeStrings(t *testing.T) {
-	t.Parallel()
-	for o, want := range map[Outcome]string{
-		OutcomeSafe:         "safe",
-		OutcomeMalicious:    "malicious",
-		OutcomeNeedsConsent: "needs-consent",
-		Outcome(9):          "unknown",
-	} {
-		if o.String() != want {
-			t.Errorf("%d.String() = %q, want %q", o, o.String(), want)
-		}
-	}
-}
-
-func TestCheckerInvalidURL(t *testing.T) {
-	t.Parallel()
-	f := newMitigationFixture(t, "evil.example/")
-	if _, err := f.checker.CheckURL(context.Background(), ""); err == nil {
-		t.Error("CheckURL(\"\"): want error")
 	}
 }

@@ -145,8 +145,8 @@ func TestOnePrefixPolicyConsentGranted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CheckURL: %v", err)
 	}
-	if v.Safe {
-		t.Error("consented lookup failed to confirm the blacklisted page")
+	if v.Safe || len(v.Matches) != 1 || v.Matches[0].Expression != "evil.example/attack.html" {
+		t.Errorf("consented lookup failed to confirm the blacklisted page: %+v", v)
 	}
 	if oracle.Prompts() != 1 {
 		t.Errorf("consent prompts = %d, want 1", oracle.Prompts())
@@ -171,14 +171,20 @@ func TestOnePrefixPolicyRootMalicious(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CheckURL: %v", err)
 	}
-	if v.Safe {
-		t.Error("malicious root not confirmed")
+	if v.Safe || len(v.Matches) != 1 || v.Matches[0].Expression != "evil.example/" {
+		t.Errorf("malicious root not confirmed: %+v", v)
 	}
 	if oracle.Prompts() != 0 {
 		t.Errorf("consent prompts = %d, want 0", oracle.Prompts())
 	}
-	if probes := f.probes(); len(probes) != 1 {
-		t.Errorf("server saw %d probes, want 1", len(probes))
+	// Strictly less than the vanilla client leaks: one request, and in
+	// it the root prefix alone.
+	probes := f.probes()
+	if len(probes) != 1 {
+		t.Fatalf("server saw %d probes, want 1", len(probes))
+	}
+	if got := probes[0].Prefixes; len(got) != 1 || got[0] != hashx.SumPrefix("evil.example/") {
+		t.Errorf("probe = %v, want only the root prefix", got)
 	}
 }
 
@@ -242,5 +248,56 @@ func TestOnePrefixPolicyTypeIProceeds(t *testing.T) {
 	}
 	if oracle.Prompts() != 0 {
 		t.Errorf("consent prompts = %d, want 0 (Type I made it unnecessary)", oracle.Prompts())
+	}
+	if probes := f.probes(); len(probes) != 2 {
+		t.Errorf("server saw %d probes, want 2 (root, then rest)", len(probes))
+	}
+}
+
+// TestOnePrefixSafeMiss: a lookup with nothing to resolve — no local
+// hit, or a URL that does not canonicalize — sends nothing, whatever the
+// policy.
+func TestOnePrefixSafeMiss(t *testing.T) {
+	t.Parallel()
+	f := newPolicyFixture(t, &OnePrefixPolicy{Dummies: 4}, "evil.example/")
+
+	v, err := f.client.CheckURL(context.Background(), "http://clean.example/")
+	if err != nil {
+		t.Fatalf("CheckURL: %v", err)
+	}
+	if !v.Safe || len(v.SentPrefixes) != 0 || len(v.WithheldPrefixes) != 0 {
+		t.Errorf("verdict = %+v, want safe with nothing sent or withheld", v)
+	}
+	if _, err := f.client.CheckURL(context.Background(), ""); err == nil {
+		t.Error("CheckURL(\"\"): want error")
+	}
+	if st := f.client.Stats(); st.FullHashRequests != 0 || st.PrefixesSent != 0 {
+		t.Errorf("stats = %+v, want no request", st)
+	}
+	if probes := f.probes(); len(probes) != 0 {
+		t.Errorf("server saw %d probes, want 0", len(probes))
+	}
+}
+
+// TestDummiesWidenLeakedSet: the two countermeasures compose — the
+// one-prefix policy's root stage carries the root prefix plus its
+// padding, and the padding does not disturb the verdict.
+func TestDummiesWidenLeakedSet(t *testing.T) {
+	t.Parallel()
+	f := newPolicyFixture(t, &OnePrefixPolicy{Dummies: 7}, "evil.example/")
+
+	v, err := f.client.CheckURL(context.Background(), "http://evil.example/")
+	if err != nil {
+		t.Fatalf("CheckURL: %v", err)
+	}
+	if v.Safe {
+		t.Error("blacklisted root judged safe under padding")
+	}
+	if len(v.SentPrefixes) != 8 {
+		t.Errorf("leaked = %d prefixes, want 8 (1 real + 7 dummies)", len(v.SentPrefixes))
+	}
+	st := f.client.Stats()
+	if st.RealPrefixesSent != 1 || st.DummyPrefixesSent != 7 {
+		t.Errorf("real/dummy = %d/%d, want 1/7", st.RealPrefixesSent, st.DummyPrefixesSent)
 	}
 }

@@ -2,7 +2,7 @@
 // store for the probes a Safe Browsing provider observes — the durable
 // retention layer of the paper's threat model. The in-memory probe log
 // of internal/sbserver bounds how long the provider can "remember"; this
-// store removes that bound: probes are buffered per client stripe and
+// store removes that bound: probes are buffered in one write buffer and
 // spilled to size-bounded on-disk segment files in the length-prefixed
 // wire encoding of wire.ProbeRecord, so the analysis machinery can
 // replay arbitrarily old history long after the serving process exited.
@@ -16,13 +16,14 @@
 //	server.Close() // drain the probe pipeline
 //	store.Close()  // spill and sync the tail
 //
-// Durability model: records reach disk when a stripe buffer fills
+// Durability model: records reach disk when the write buffer fills
 // (WithSpillThreshold), on Flush, and on Close. A crash loses at most
-// the buffered tail; a crash mid-write leaves a torn final record,
-// which Open detects and truncates, so every record before the tear
-// survives. Segment files are immutable once rotated, which makes
-// retention (WithRetainSegments / WithRetainBytes) a whole-file delete
-// of the oldest segment — no compaction, no rewrite.
+// the buffered tail — one buffer, 64 KiB by default; a crash mid-write
+// leaves a torn final record, which Open detects and truncates, so
+// every record before the tear survives. Segment files are immutable
+// once rotated, which makes retention (WithRetainSegments /
+// WithRetainBytes) a whole-file delete of the oldest segment — no
+// compaction, no rewrite.
 //
 // Sealed segments carry an index sidecar (seg-NNNNNNNN.pidx, the
 // wire.MsgProbeIndex format): the segment's record count, byte extent,
@@ -34,18 +35,24 @@
 // or stale sidecar (and a live writer's still-growing tail segment,
 // which never has one) falls back to a full scan of that segment.
 //
-// Per-client order is preserved: probes from one cookie land in one
-// stripe and spill in arrival order, so Replay and ClientHistory see
-// each client's history FIFO — the property the tracking and temporal
-// correlation machinery depends on. Cross-client interleaving follows
-// spill order, not arrival order; records carry timestamps for
-// analyses that need a global order.
+// Order: the store has one write buffer and one lock, and encoding a
+// probe into the buffer, spilling it, Flush and Close are each one
+// critical section of that lock. The order of records on disk — what
+// Replay, Follow and ClientHistory return — is therefore the order in
+// which the Observe calls returned. Each client's history is FIFO, the
+// property the tracking and temporal correlation machinery depends on,
+// and a single-producer feed (workload.Campaign.Run, whose probes carry
+// increasing timestamps) replays in exactly its schedule order, so a
+// windowed stream analysis of the store drops nothing as late.
+// Concurrent producers interleave in the order they won the lock.
 //
 // Memory model: the probes themselves live on disk. A writable store
-// keeps roughly 24 bytes of bookkeeping per record of the segments it
-// wrote in this run (pruned with retention); segments recovered from
-// sidecars cost only their Bloom filter until a client query touches
-// them, at which point that segment's index is built lazily and cached.
+// keeps the write buffer (the spill threshold; while the disk refuses
+// spills, a backlog of up to 16 times that, at least 1 MiB) and roughly
+// 24 bytes of bookkeeping per record of the segments it wrote in this
+// run (pruned with retention); segments recovered from sidecars cost
+// only their Bloom filter until a client query touches them, at which
+// point that segment's index is built lazily and cached.
 // A read-only store defers all indexing until the first Clients or
 // ClientHistory call, so pure Replay streams with no per-record memory
 // at all.
@@ -61,7 +68,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sbprivacy/internal/hashx"
 	"sbprivacy/internal/sbserver"
 	"sbprivacy/internal/wire"
 )
@@ -70,15 +76,10 @@ import (
 const (
 	// DefaultMaxSegmentBytes is the rotation point for segment files.
 	DefaultMaxSegmentBytes = 4 << 20
-	// DefaultSpillThreshold is the per-stripe buffer size that triggers
-	// a spill to the current segment.
+	// DefaultSpillThreshold is the write buffer size that triggers a
+	// spill to the current segment.
 	DefaultSpillThreshold = 64 << 10
 )
-
-// storeStripes is the number of client-hashed buffer lanes. It matches
-// the probe pipeline's maximum stripe count so concurrent drainer
-// goroutines rarely contend on one buffer.
-const storeStripes = 16
 
 // sidecarFPRate is the target false-positive rate of a segment's
 // client-cookie Bloom filter: 1% of unrelated history queries pay one
@@ -121,7 +122,7 @@ type Stats struct {
 	// dropped. The first error since the last Flush is also returned by
 	// Flush and Close.
 	WriteErrors uint64
-	// Dropped counts records discarded because a stripe buffer hit its
+	// Dropped counts records discarded because the write buffer hit its
 	// failure cap while spills kept failing — the store's last-resort
 	// shedding during a disk outage, bounding memory instead of growing
 	// toward OOM.
@@ -159,7 +160,7 @@ func WithMaxSegmentBytes(n int64) Option {
 	return func(c *config) { c.maxSegmentBytes = n }
 }
 
-// WithSpillThreshold sets the per-stripe buffer size, in bytes, that
+// WithSpillThreshold sets the write buffer size, in bytes, that
 // triggers a spill to disk. Smaller values tighten the crash-loss
 // window; larger values batch writes.
 func WithSpillThreshold(n int) Option {
@@ -197,14 +198,6 @@ type recordRef struct {
 	n   int32
 }
 
-// stripeBuf is one buffer lane. pending mirrors the encoded records in
-// buf so a spill can extend the segment index with exact disk offsets.
-type stripeBuf struct {
-	mu      sync.Mutex
-	buf     []byte
-	pending []pendingRec
-}
-
 // pendingRec is the index metadata of one not-yet-spilled record.
 type pendingRec struct {
 	client string
@@ -219,14 +212,20 @@ type Store struct {
 	dir string
 	cfg config
 
-	stripes [storeStripes]stripeBuf
-
 	// lock holds the directory's single-writer flock (nil read-only).
 	lock *os.File
 
 	// mu guards the writer state below and every segmentInfo's mutable
-	// fields (index, clients, missing, bytes, records).
-	mu       sync.Mutex
+	// fields (index, clients, missing, bytes, records). It is the
+	// store's only lock: Observe, spill, Flush and Close are each one
+	// critical section, so the on-disk order is the order in which
+	// Observe calls returned.
+	mu sync.Mutex
+	// buf holds the encoded records not yet spilled; pending mirrors
+	// them so a spill can extend the segment index with exact disk
+	// offsets.
+	buf      []byte
+	pending  []pendingRec
 	cur      *os.File
 	curID    uint64
 	curSize  int64
@@ -234,15 +233,12 @@ type Store struct {
 	closed   bool
 	writeErr error
 
-	// closedFlag mirrors closed for the lock-free fast path in Observe.
-	closedFlag atomic.Bool
-
-	received        atomic.Uint64
-	dropped         atomic.Uint64
+	received        uint64
+	dropped         uint64
 	persisted       uint64
 	evictedSegments uint64
 	evictedRecords  uint64
-	writeErrors     atomic.Uint64
+	writeErrors     uint64
 	truncatedBytes  int64
 	segmentOpens    atomic.Uint64
 	bloomSkips      atomic.Uint64
@@ -271,7 +267,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if cfg.spillThreshold <= 0 {
 		cfg.spillThreshold = DefaultSpillThreshold
 	}
-	// If the disk stops accepting spills, each stripe retains up to
+	// If the disk stops accepting spills, the buffer retains up to
 	// this much encoded backlog before shedding — bounded memory even
 	// through an outage.
 	cfg.failureCap = 16 * cfg.spillThreshold
@@ -313,9 +309,9 @@ func (s *Store) releaseLock() {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Observe implements sbserver.ProbeSink: the probe is encoded into its
-// client's stripe buffer and spilled to the current segment once the
-// buffer reaches the spill threshold. Encoding or disk errors cannot be
+// Observe implements sbserver.ProbeSink: the probe is encoded into the
+// write buffer and the buffer is spilled to the current segment once it
+// reaches the spill threshold. Encoding or disk errors cannot be
 // returned here (the sink interface has no error path); they increment
 // Stats.WriteErrors and surface from the next Flush or Close.
 //
@@ -325,99 +321,86 @@ func (s *Store) Dir() string { return s.dir }
 // any sink observes them. Should one arrive anyway, the encoder refuses
 // it and the loss is counted as a write error.
 func (s *Store) Observe(p sbserver.Probe) {
-	s.received.Add(1)
-	if s.cfg.readOnly {
-		s.noteErr(ErrReadOnly)
-		return
-	}
 	rec := wire.ProbeRecord{
 		UnixNano: p.Time.UnixNano(),
 		ClientID: p.ClientID,
 		Prefixes: p.Prefixes,
 	}
-	st := &s.stripes[stripeFor(p.ClientID)]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	// Checked under st.mu so a probe racing Close either lands before
-	// Close's final stripe sweep (and is persisted) or is rejected
-	// here — never stranded unbuffered-and-uncounted. Close sets the
-	// flag before that sweep.
-	if s.closedFlag.Load() {
-		s.noteErr(ErrClosed)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.received++
+	// closed is read under the lock Close holds from its final spill to
+	// setting it, so a probe racing Close is either in that spill (and
+	// persisted) or rejected here — never buffered and forgotten.
+	switch {
+	case s.cfg.readOnly:
+		s.noteErrLocked(ErrReadOnly)
+		return
+	case s.closed:
+		s.noteErrLocked(ErrClosed)
 		return
 	}
-	off := len(st.buf)
-	buf, err := wire.AppendProbeRecord(st.buf, &rec)
+	off := len(s.buf)
+	buf, err := wire.AppendProbeRecord(s.buf, &rec)
 	if err != nil {
-		s.noteErr(err)
+		s.noteErrLocked(err)
 		return
 	}
-	st.buf = buf
-	st.pending = append(st.pending, pendingRec{
+	s.buf = buf
+	s.pending = append(s.pending, pendingRec{
 		client: rec.ClientID, off: off, n: len(buf) - off,
 	})
-	if len(st.buf) >= s.cfg.spillThreshold {
-		//sbcheck:ignore lockscope single-writer store contract: spilling under st.mu is what keeps one client's records in arrival order on disk
-		if err := s.spillLocked(st); err != nil {
-			s.noteErr(err)
-			if len(st.buf) >= s.cfg.failureCap {
+	if len(s.buf) >= s.cfg.spillThreshold {
+		//sbcheck:ignore lockscope single-writer store contract: buffering and spilling in one critical section is what makes disk order equal arrival order
+		if err := s.spillLocked(); err != nil {
+			s.noteErrLocked(err)
+			if len(s.buf) >= s.cfg.failureCap {
 				// Spills keep failing and the backlog hit the cap:
-				// shed the stripe's buffer rather than grow toward
-				// OOM. The loss is visible in Stats.Dropped.
-				s.dropped.Add(uint64(len(st.pending)))
-				st.buf = st.buf[:0]
-				st.pending = st.pending[:0]
+				// shed the buffer rather than grow toward OOM. The
+				// loss is visible in Stats.Dropped.
+				s.dropPendingLocked()
 			}
 		}
 	}
 }
 
-// noteErr records a dropped-probe error for Stats and Flush.
-func (s *Store) noteErr(err error) {
-	s.writeErrors.Add(1)
-	s.mu.Lock()
+// noteErrLocked counts a write error for Stats and keeps the first one
+// since the last Flush for Flush and Close to return. The caller holds
+// s.mu.
+func (s *Store) noteErrLocked(err error) {
+	s.writeErrors++
 	if s.writeErr == nil {
 		s.writeErr = err
 	}
-	s.mu.Unlock()
 }
 
-// stripeFor maps a client cookie to a buffer lane. What matters is
-// that the mapping is fixed per cookie — one client's probes always
-// share a lane, preserving their order.
-func stripeFor(clientID string) uint32 {
-	return hashx.FNV32a(clientID) % storeStripes
+// dropPendingLocked discards the buffered records and counts them in
+// Stats.Dropped. The caller holds s.mu.
+func (s *Store) dropPendingLocked() {
+	s.dropped += uint64(len(s.pending))
+	s.buf = s.buf[:0]
+	s.pending = s.pending[:0]
 }
 
-// spillLocked appends the stripe's buffer to the current segment and
-// indexes the spilled records. The caller holds st.mu, which keeps one
-// client's spills in arrival order.
-func (s *Store) spillLocked(st *stripeBuf) error {
-	if len(st.buf) == 0 {
+// spillLocked appends the write buffer to the current segment and
+// indexes the spilled records. On a closed store it does nothing: what
+// Close could not write stays unwritten. The caller holds s.mu.
+func (s *Store) spillLocked() error {
+	if len(s.buf) == 0 || s.closed {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.cfg.readOnly {
-		return ErrReadOnly
-	}
-	if s.cur == nil || s.curSize+int64(len(st.buf)) > s.cfg.maxSegmentBytes {
-		//sbcheck:ignore lockscope single-writer store contract: s.mu is the segment-writer serialization, rotation must happen under it
+	if s.cur == nil || s.curSize+int64(len(s.buf)) > s.cfg.maxSegmentBytes {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
 	}
 	base := s.curSize
-	//sbcheck:ignore lockscope single-writer store contract: the segment append is the critical section; contenders queue on durability order by design
-	if _, err := s.cur.Write(st.buf); err != nil {
+	if _, err := s.cur.Write(s.buf); err != nil {
 		// A short write (disk full, I/O error) may have left a torn
 		// fragment on disk past curSize. Roll the file back to the last
 		// record boundary so the segment stays scannable and later
 		// spills land at the offsets the index will claim; the buffered
-		// records stay in the stripe for a retry.
+		// records stay in the buffer for a retry.
 		if terr := s.cur.Truncate(s.curSize); terr != nil {
 			// The fragment is stuck. Abandon the file — appending after
 			// it would put the tear mid-file, where recovery treats it
@@ -429,28 +412,25 @@ func (s *Store) spillLocked(st *stripeBuf) error {
 			// fragment may have reached disk, and retrying them into
 			// the next segment would make Replay return duplicates —
 			// at-most-once beats maybe-twice for report fidelity.
-			//sbcheck:ignore lockscope single-writer store contract: abandoning the poisoned segment must be atomic with clearing s.cur
 			s.cur.Close() //nolint:errcheck // abandoning a failing file
 			s.cur = nil
-			s.dropped.Add(uint64(len(st.pending)))
-			st.buf = st.buf[:0]
-			st.pending = st.pending[:0]
+			s.dropPendingLocked()
 		}
 		return fmt.Errorf("probestore: write segment %d: %w", s.curID, err)
 	}
-	s.curSize += int64(len(st.buf))
+	s.curSize += int64(len(s.buf))
 	seg := s.segments[len(s.segments)-1]
 	seg.bytes = s.curSize
-	seg.records += len(st.pending)
-	for _, pr := range st.pending {
+	seg.records += len(s.pending)
+	for _, pr := range s.pending {
 		seg.index[pr.client] = append(seg.index[pr.client], recordRef{
 			off: base + int64(pr.off), n: int32(pr.n),
 		})
 		seg.clients[pr.client] = true
 	}
-	s.persisted += uint64(len(st.pending))
-	st.buf = st.buf[:0]
-	st.pending = st.pending[:0]
+	s.persisted += uint64(len(s.pending))
+	s.buf = s.buf[:0]
+	s.pending = s.pending[:0]
 	return nil
 }
 
@@ -472,10 +452,7 @@ func (s *Store) rotateLocked() error {
 		// failed write is noted and the sealed segment simply costs a
 		// scan on the next Open.
 		if err := s.writeSidecarLocked(s.segments[len(s.segments)-1]); err != nil {
-			s.writeErrors.Add(1)
-			if s.writeErr == nil {
-				s.writeErr = err
-			}
+			s.noteErrLocked(err)
 		}
 	}
 	id := uint64(1)
@@ -535,10 +512,7 @@ func (s *Store) pruneLocked() {
 	for over() {
 		oldest := s.segments[0]
 		if err := os.Remove(segmentPath(s.dir, oldest.id)); err != nil && !os.IsNotExist(err) {
-			s.writeErrors.Add(1)
-			if s.writeErr == nil {
-				s.writeErr = fmt.Errorf("probestore: prune segment %d: %w", oldest.id, err)
-			}
+			s.noteErrLocked(fmt.Errorf("probestore: prune segment %d: %w", oldest.id, err))
 			return
 		}
 		os.Remove(sidecarPath(s.dir, oldest.id)) //nolint:errcheck // best effort; orphans are tidied at Open
@@ -548,47 +522,41 @@ func (s *Store) pruneLocked() {
 	}
 }
 
-// spillAll spills every stripe buffer to the current segment and
-// returns the first error from these spills (not historical ones) —
-// the visibility barrier the read APIs need, without Flush's fsync or
-// its accumulated-error reporting.
-func (s *Store) spillAll() error {
-	var first error
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		err := s.spillLocked(st) //sbcheck:ignore lockscope single-writer store contract: the visibility barrier spills under each stripe lock to preserve per-client order
-		st.mu.Unlock()
-		if err != nil && !errors.Is(err, ErrClosed) {
-			s.noteErr(err)
-			if first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}
-
-// Flush spills every stripe buffer to disk and syncs the current
-// segment, so all probes observed before the call are durable. It
-// returns the first write error since the previous Flush, if any —
-// including on a read-only store, where the only possible write errors
-// are the misdirected Observes noted as ErrReadOnly (a read-only store
-// has nothing to spill, but swallowing its noted errors would break the
-// "first error since the last Flush" contract).
-func (s *Store) Flush() error {
-	if !s.cfg.readOnly {
-		s.spillAll() //nolint:errcheck // folded into writeErr below
-	}
+// spill writes the buffered probes to the current segment and returns
+// the error of this spill (not historical ones) — the visibility
+// barrier the read APIs need, without Flush's fsync or its
+// accumulated-error reporting.
+func (s *Store) spill() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	err := s.spillLocked() //sbcheck:ignore lockscope single-writer store contract: the visibility barrier is a spill, and a spill is a segment append under s.mu
+	if err != nil {
+		s.noteErrLocked(err)
+	}
+	return err
+}
+
+// Flush spills the write buffer to disk and syncs the current segment,
+// so all probes observed before the call are durable. It returns the
+// first write error since the previous Flush, if any — including on a
+// read-only store, where the only possible write errors are the
+// misdirected Observes noted as ErrReadOnly (a read-only store has
+// nothing to spill, but swallowing its noted errors would break the
+// "first error since the last Flush" contract).
+func (s *Store) Flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.flushLocked() //sbcheck:ignore lockscope single-writer store contract: Flush spills and syncs under s.mu so no Observe can slip between the sync and the error harvest
+}
+
+// flushLocked is Flush for a caller that holds s.mu.
+func (s *Store) flushLocked() error {
+	if err := s.spillLocked(); err != nil {
+		s.noteErrLocked(err)
+	}
 	if s.cur != nil {
-		//sbcheck:ignore lockscope single-writer store contract: Flush syncs under s.mu so no spill can slip between the sync and the error harvest
 		if err := s.cur.Sync(); err != nil {
-			s.writeErrors.Add(1)
-			if s.writeErr == nil {
-				s.writeErr = fmt.Errorf("probestore: sync segment %d: %w", s.curID, err)
-			}
+			s.noteErrLocked(fmt.Errorf("probestore: sync segment %d: %w", s.curID, err))
 		}
 	}
 	err := s.writeErr
@@ -598,18 +566,16 @@ func (s *Store) Flush() error {
 
 // Close flushes and closes the store, sealing the final segment with
 // its index sidecar. Probes observed after Close are counted as write
-// errors and dropped.
+// errors and dropped. Closing a closed store returns ErrClosed and does
+// nothing else.
 func (s *Store) Close() error {
-	// Reject new probes first, then sweep: an Observe racing Close
-	// either appended before the sweep reaches its stripe (persisted)
-	// or sees the flag (counted as a write error).
-	s.closedFlag.Store(true)
-	err := s.Flush()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
+	//sbcheck:ignore lockscope single-writer store contract: the final flush and setting s.closed are one critical section, so a racing Observe is persisted or rejected
+	err := s.flushLocked()
 	s.closed = true
 	if s.cur != nil {
 		//sbcheck:ignore lockscope single-writer store contract: sealing the final segment must be atomic with s.closed under s.mu
@@ -622,7 +588,7 @@ func (s *Store) Close() error {
 		// deletes the sidecar again.
 		//sbcheck:ignore lockscope single-writer store contract: the sidecar seal races a concurrent writable Open unless written under s.mu
 		if serr := s.writeSidecarLocked(s.segments[len(s.segments)-1]); serr != nil {
-			s.writeErrors.Add(1)
+			s.writeErrors++
 			if err == nil {
 				err = serr
 			}
@@ -637,13 +603,13 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Received:        s.received.Load(),
+		Received:        s.received,
 		Persisted:       s.persisted,
 		Segments:        len(s.segments),
 		EvictedSegments: s.evictedSegments,
 		EvictedRecords:  s.evictedRecords,
-		WriteErrors:     s.writeErrors.Load(),
-		Dropped:         s.dropped.Load(),
+		WriteErrors:     s.writeErrors,
+		Dropped:         s.dropped,
 		TruncatedBytes:  s.truncatedBytes,
 		SegmentOpens:    s.segmentOpens.Load(),
 		BloomSkips:      s.bloomSkips.Load(),
@@ -695,7 +661,7 @@ func (s *Store) Segments() []SegmentInfo {
 // scans stay cached for later ClientHistory calls.
 func (s *Store) Clients() ([]string, error) {
 	if !s.cfg.readOnly {
-		if err := s.spillAll(); err != nil {
+		if err := s.spill(); err != nil {
 			return nil, err
 		}
 	}
@@ -799,10 +765,10 @@ func (s *Store) buildSegIndex(seg *segmentInfo) (map[string][]recordRef, error) 
 // skipped without opening the file, so the cost scales with the
 // segments that actually contain the client; only bloom false
 // positives (~1%) pay a wasted scan. On a writable store it spills the
-// stripe buffers first.
+// write buffer first.
 func (s *Store) ClientHistory(clientID string) ([]sbserver.Probe, error) {
 	if !s.cfg.readOnly {
-		if err := s.spillAll(); err != nil {
+		if err := s.spill(); err != nil {
 			return nil, err
 		}
 	}

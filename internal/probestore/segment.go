@@ -165,12 +165,7 @@ func (s *Store) recover() error {
 			// crash between seal and sidecar write): backfill the
 			// sidecar so the next Open skips this scan.
 			if err := s.writeSidecarLocked(seg); err != nil {
-				s.writeErrors.Add(1)
-				s.mu.Lock()
-				if s.writeErr == nil {
-					s.writeErr = err
-				}
-				s.mu.Unlock()
+				s.noteErrLocked(err) // Open has not published s yet
 			}
 		}
 		s.segments = append(s.segments, seg)
@@ -282,12 +277,12 @@ func scanSegment(dir string, id uint64) (*segmentInfo, []scanRef, int64, error) 
 // Replay iterates every persisted probe in segment order (oldest
 // segment first, file order within a segment) and hands each to fn; a
 // non-nil error from fn stops the walk and is returned. On a writable
-// store Replay spills the stripe buffers first, so probes still in
-// memory are included. Per-client order matches arrival order; see the
-// package comment for cross-client interleaving.
+// store Replay spills the write buffer first, so probes still in
+// memory are included. The order is the order in which the Observe
+// calls returned; see the package comment.
 func (s *Store) Replay(fn func(sbserver.Probe) error) error {
 	if !s.cfg.readOnly {
-		if err := s.spillAll(); err != nil {
+		if err := s.spill(); err != nil {
 			return err
 		}
 	}

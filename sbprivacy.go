@@ -109,8 +109,6 @@ type (
 	ReidentReport = core.Report
 	// CollisionType classifies Type I/II/III prefix collisions.
 	CollisionType = collision.Type
-	// MitigationChecker performs Section 8 privacy-aware lookups.
-	MitigationChecker = mitigation.Checker
 	// PrivacyAdvisor assesses what a lookup would reveal before it
 	// happens (the paper's future-work browser plugin).
 	PrivacyAdvisor = advisor.Advisor
@@ -147,7 +145,8 @@ var (
 	ProbeStoreReadOnly = probestore.ReadOnly
 	// WithMaxSegmentBytes sets the store's segment rotation size.
 	WithMaxSegmentBytes = probestore.WithMaxSegmentBytes
-	// WithSpillThreshold sets the store's per-stripe buffer size.
+	// WithSpillThreshold sets the size of the store's write buffer: the
+	// most a crash can lose, and what the store keeps resident.
 	WithSpillThreshold = probestore.WithSpillThreshold
 	// WithRetainSegments bounds the store to the newest n segments.
 	WithRetainSegments = probestore.WithRetainSegments

@@ -115,3 +115,69 @@ func TestStreamingMatchesBatchOnSealedStore(t *testing.T) {
 		}
 	}
 }
+
+// TestWindowedReplayOfCampaignStoreMatchesLive: a campaign feeds its
+// probes in schedule order, and a default-configured store must hand
+// them back in that order — so a 7-day windowed replay of the sealed
+// store rejects nothing as late and snapshots exactly like a 7-day
+// pipeline that watched the campaign live.
+func TestWindowedReplayOfCampaignStoreMatchesLive(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	const window = 7
+	camp, err := sbprivacy.GenerateCampaign(sbprivacy.CampaignConfig{
+		Days: 14, Clients: 200, Seed: 42,
+	})
+	if err != nil {
+		t.Fatalf("GenerateCampaign: %v", err)
+	}
+	urls := camp.IndexExpressions()
+	pipeline := func() *sbprivacy.StreamPipeline {
+		x := sbprivacy.NewIndex(urls)
+		return sbprivacy.NewStreamPipeline(
+			sbprivacy.NewReidentStage(x, window),
+			sbprivacy.NewLinkageStage(x, sbprivacy.LongitudinalConfig{}, window),
+		)
+	}
+
+	dir := t.TempDir()
+	store, err := sbprivacy.OpenProbeStore(dir) // default spill threshold
+	if err != nil {
+		t.Fatalf("OpenProbeStore: %v", err)
+	}
+	live := pipeline()
+	if _, err := camp.Run(ctx, store, live); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatalf("store.Close: %v", err)
+	}
+
+	ro, err := sbprivacy.OpenProbeStore(dir, sbprivacy.ProbeStoreReadOnly())
+	if err != nil {
+		t.Fatalf("reopen read-only: %v", err)
+	}
+	replayed := pipeline()
+	if err := sbprivacy.StreamReplay(ro, replayed); err != nil {
+		t.Fatalf("StreamReplay: %v", err)
+	}
+	if err := ro.Close(); err != nil {
+		t.Fatalf("close read-only: %v", err)
+	}
+
+	got, want := replayed.Snapshot(), live.Snapshot()
+	for _, s := range got {
+		if s.Stats.LateDropped != 0 {
+			t.Errorf("stage %q dropped %d of %d replayed probes as late",
+				s.Name, s.Stats.LateDropped, replayed.Observed())
+		}
+		if s.Stats.EvictedRecords == 0 {
+			t.Errorf("stage %q evicted nothing: the window was never exercised", s.Name)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("windowed replay of the store diverges from the live pipeline:\n%+v\nvs\n%+v", got, want)
+	}
+}

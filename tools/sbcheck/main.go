@@ -43,11 +43,11 @@
 // analysis.
 //
 // -waiver-budget compares the per-analyzer count of sbcheck:ignore
-// comments against the committed budget file (lint-waivers.txt): a
-// count above its budgeted line fails the run, so waivers cannot
-// accrete silently — growing the budget takes a reviewed edit to the
-// budget file. Shrinking is always allowed (and the file should then be
-// re-baselined to the lower count).
+// comments against the committed budget file (lint-waivers.txt) and
+// fails the run unless they are equal. A count above its line means a
+// waiver was added without a reviewed edit to the file; a count below
+// it means the file is stale and would let that many waivers back in
+// unreviewed, so the PR that removes a waiver lowers the line.
 package main
 
 import (
@@ -67,7 +67,7 @@ import (
 
 func main() {
 	listOnly := flag.Bool("list", false, "list analyzers, deterministic packages, hotpath functions and waiver count; run nothing")
-	budgetPath := flag.String("waiver-budget", "", "budget file of per-analyzer sbcheck:ignore counts; fail if any count exceeds its budget")
+	budgetPath := flag.String("waiver-budget", "", "budget file of per-analyzer sbcheck:ignore counts; fail unless every count equals its line")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: sbcheck [-list] [-waiver-budget file] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Packages default to ./... relative to the module root.\n")
@@ -162,7 +162,10 @@ func run(patterns []string, listOnly bool, budgetPath string) int {
 	}
 	problems := len(findings)
 	if budgetPath != "" {
-		problems += checkWaiverBudget(budgetPath, waivers)
+		for _, msg := range checkWaiverBudget(budgetPath, waivers) {
+			fmt.Println(msg)
+			problems++
+		}
 	}
 	if problems > 0 {
 		fmt.Printf("sbcheck: %d problem(s)\n", problems)
@@ -172,11 +175,12 @@ func run(patterns []string, listOnly bool, budgetPath string) int {
 }
 
 // checkWaiverBudget compares the observed per-analyzer waiver counts
-// against the committed budget file and prints one problem line per
-// overrun (or per analyzer missing from the file entirely). The file
-// format is one "analyzer count" pair per line; blank lines and
-// #-comments are skipped.
-func checkWaiverBudget(path string, waivers map[string]int) (problems int) {
+// against the committed budget file and returns one problem line per
+// analyzer whose count differs from its line, in either direction (an
+// analyzer missing from the file has a budget of 0). The file format is
+// one "analyzer count" pair per line; blank lines and #-comments are
+// skipped.
+func checkWaiverBudget(path string, waivers map[string]int) (problems []string) {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(fmt.Errorf("waiver budget: %w", err))
@@ -202,16 +206,24 @@ func checkWaiverBudget(path string, waivers map[string]int) (problems int) {
 	if err := sc.Err(); err != nil {
 		fatal(fmt.Errorf("waiver budget: %w", err))
 	}
-	names := make([]string, 0, len(waivers))
-	for name := range waivers {
+	names := make([]string, 0, len(budget)+len(waivers))
+	for name := range budget {
 		names = append(names, name)
+	}
+	for name := range waivers {
+		if _, ok := budget[name]; !ok {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if waivers[name] > budget[name] {
-			fmt.Printf("%s: [waiver-budget] %d sbcheck:ignore %s waiver(s), budget allows %d; justify the growth by updating the budget file\n",
-				path, waivers[name], name, budget[name])
-			problems++
+		switch found, want := waivers[name], budget[name]; {
+		case found > want:
+			problems = append(problems, fmt.Sprintf("%s: [waiver-budget] %d sbcheck:ignore %s waiver(s), budget allows %d; justify the growth by updating the budget file",
+				path, found, name, want))
+		case found < want:
+			problems = append(problems, fmt.Sprintf("%s: [waiver-budget] found %d sbcheck:ignore %s waiver(s), budget says %d: lower the file",
+				path, found, name, want))
 		}
 	}
 	return problems
