@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench docs-check examples-check ablate-smoke loadrig-smoke idxbench-guard live-smoke streambench-smoke
+.PHONY: check build vet lint test race bench docs-check examples-check ablate-smoke loadrig-smoke idxbench-guard live-smoke streambench-smoke pipelinebench-smoke
 
 check: build vet race
 
@@ -107,6 +107,13 @@ streambench-smoke:
 		-days 3 -clients 100 -seed 42 -stream-window 2 \
 		-bench-out "$$out" && \
 	$(GO) run ./tools/doccheck -bench "$$out"
+
+# pipelinebench-smoke runs the streaming hot-loop benchmark (captured
+# campaign feed through Pipeline.Observe, ns and allocs per probe) for
+# one iteration, so it cannot rot between the PRs that read it; CI's
+# bench-smoke job calls this.
+pipelinebench-smoke:
+	$(GO) test -run '^$$' -bench PipelineObserve -benchtime 1x ./internal/stream
 
 build:
 	$(GO) build ./...

@@ -93,13 +93,14 @@ loop:
 		case followErr = <-done:
 			break loop
 		case <-ticker.C:
-			if obs := pl.Observed(); obs != lastObserved {
+			obs := pl.Observed()
+			if obs != lastObserved {
 				lastObserved = obs
 				lastDelivery.Store(time.Now().UnixNano())
 			}
-			renderDashboard(os.Stdout, clear, dir, windowDays, pl)
+			renderDashboard(os.Stdout, clear, dir, windowDays, obs, pl.Snapshot())
 			idle := time.Since(time.Unix(0, lastDelivery.Load()))
-			if exitIdle > 0 && pl.Observed() > 0 && idle >= exitIdle {
+			if exitIdle > 0 && obs > 0 && idle >= exitIdle {
 				fmt.Fprintf(os.Stderr, "sbanalyze: feed idle for %s, stopping\n", idle.Round(time.Second))
 				cancelFollow()
 				followErr = <-done
@@ -112,9 +113,11 @@ loop:
 		return 1
 	}
 
-	snaps := pl.Snapshot()
-	fmt.Fprintf(os.Stderr, "sbanalyze: tail stopped after %d probes\n", pl.Observed())
-	renderDashboard(os.Stdout, false, dir, windowDays, pl)
+	// The feed has stopped: one snapshot is the final dashboard frame
+	// and the final report.
+	observed, snaps := pl.Observed(), pl.Snapshot()
+	fmt.Fprintf(os.Stderr, "sbanalyze: tail stopped after %d probes\n", observed)
+	renderDashboard(os.Stdout, false, dir, windowDays, observed, snaps)
 	fmt.Println("\n== final snapshot ==")
 	text := renderSnapshotStages(snaps)
 	fmt.Print(text)
@@ -142,16 +145,16 @@ func isTerminal(f *os.File) bool {
 	return err == nil && st.Mode()&os.ModeCharDevice != 0
 }
 
-// renderDashboard draws one dashboard frame: pipeline totals, per-stage
+// renderDashboard draws one dashboard frame from a pipeline snapshot
+// and the probe count it is labelled with: pipeline totals, per-stage
 // bounded-memory accounting, the window's re-identification rate, and
 // the strongest linked chains.
-func renderDashboard(out io.Writer, clear bool, dir string, windowDays int, pl *stream.Pipeline) {
-	snaps := pl.Snapshot()
+func renderDashboard(out io.Writer, clear bool, dir string, windowDays int, observed int64, snaps []stream.StageSnapshot) {
 	if clear {
 		fmt.Fprint(out, "\x1b[2J\x1b[H")
 	}
 	fmt.Fprintf(out, "== live analysis of %s (%s window, %d probes) ==\n",
-		dir, windowLabel(windowDays), pl.Observed())
+		dir, windowLabel(windowDays), observed)
 
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "stage\tobserved\tresident cookies\tresident days\tevicted\tlate")

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -94,24 +93,6 @@ func (a *Analyzer) Report() *Report {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return BuildClientReport(a.clients)
-}
-
-// sortedCounts flattens a tally map into a deterministic slice.
-func sortedCounts(m map[string]int) []NameCount {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]NameCount, 0, len(m))
-	for n, c := range m {
-		out = append(out, NameCount{Name: n, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }
 
 // String renders the report as the provider's per-client dossier — the

@@ -29,7 +29,10 @@ import (
 // indexing capabilities, we safely assume that they maintain the database
 // of all webpages and URLs on the web").
 type Index struct {
-	urls      []string
+	urls []string
+	// domains[id] is the registrable domain of urls[id] (a substring of
+	// it), kept so re-identification never re-derives it per probe.
+	domains   []string
 	decomps   [][]string
 	prefixSet []map[hashx.Prefix]struct{}
 	// urlsByPrefix maps a prefix to the URLs having a decomposition with
@@ -81,6 +84,7 @@ func (x *Index) Add(urlExpr string) {
 	x.prefixSet = append(x.prefixSet, pset)
 
 	dom := urlx.RegisteredDomain(urlx.HostOf(urlExpr))
+	x.domains = append(x.domains, dom)
 	x.byDomain[dom] = append(x.byDomain[dom], id)
 }
 

@@ -183,17 +183,6 @@ type LongitudinalReport struct {
 	Chains []ChainReport
 }
 
-// intersect returns |a∩b|.
-func intersect(a, b map[string]bool) int {
-	n := 0
-	for d := range a {
-		if b[d] {
-			n++
-		}
-	}
-	return n
-}
-
 // Report snapshots the correlator's conclusions. Like Analyzer.Report
 // it is deterministic for a given probe multiset; live callers must
 // flush the server first so in-flight probes are included. The report

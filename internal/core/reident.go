@@ -38,6 +38,8 @@ func (x *Index) Reidentify(prefixes []hashx.Prefix) Reidentification {
 			seed = cand
 		}
 	}
+	var buf [16]int32 // candidate ids; on the stack unless a probe has more
+	ids := buf[:0]
 	for _, id := range seed {
 		pset := x.prefixSet[id]
 		all := true
@@ -48,25 +50,30 @@ func (x *Index) Reidentify(prefixes []hashx.Prefix) Reidentification {
 			}
 		}
 		if all {
-			r.Candidates = append(r.Candidates, x.urls[id])
+			ids = append(ids, id)
 		}
 	}
-	r.Exact = len(r.Candidates) == 1
-	r.CommonDomain = commonDomain(r.Candidates)
+	x.conclude(&r, ids)
 	return r
 }
 
-func commonDomain(urls []string) string {
-	if len(urls) == 0 {
-		return ""
+// conclude fills in r from the ids of the candidate URLs, in index
+// order. The candidate list is allocated once at its final size, and
+// the domains come from the index, which derived each when its URL was
+// added: nothing is parsed and nothing grows per probe.
+func (x *Index) conclude(r *Reidentification, ids []int32) {
+	if len(ids) == 0 {
+		return
 	}
-	dom := urlx.RegisteredDomain(urlx.HostOf(urls[0]))
-	for _, u := range urls[1:] {
-		if urlx.RegisteredDomain(urlx.HostOf(u)) != dom {
-			return ""
+	r.Candidates = make([]string, len(ids))
+	r.Exact = len(ids) == 1
+	r.CommonDomain = x.domains[ids[0]]
+	for i, id := range ids {
+		r.Candidates[i] = x.urls[id]
+		if x.domains[id] != r.CommonDomain {
+			r.CommonDomain = "" // "no common domain", and it stays: "" matches no domain but itself
 		}
 	}
-	return dom
 }
 
 // ReidentifyWithDatabase refines Reidentify when the provider knows the
@@ -91,6 +98,7 @@ func (x *Index) ReidentifyWithDatabase(prefixes []hashx.Prefix, database map[has
 			seed = cand
 		}
 	}
+	var ids []int32
 	for _, id := range seed {
 		hits := 0
 		compatible := true
@@ -105,11 +113,10 @@ func (x *Index) ReidentifyWithDatabase(prefixes []hashx.Prefix, database map[has
 			hits++
 		}
 		if compatible && hits == len(observed) {
-			r.Candidates = append(r.Candidates, x.urls[id])
+			ids = append(ids, id)
 		}
 	}
-	r.Exact = len(r.Candidates) == 1
-	r.CommonDomain = commonDomain(r.Candidates)
+	x.conclude(&r, ids)
 	return r
 }
 

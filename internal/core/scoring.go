@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 	"time"
-
-	"sbprivacy/internal/urlx"
 )
 
 // This file holds the scoring cores shared by the batch sinks
@@ -16,6 +17,54 @@ import (
 // over whatever is resident — which is what makes a streaming snapshot
 // deep-equal a batch run restricted to the same window.
 
+// counts is a multiset of names — the exact URLs or the domains of a
+// tally — kept sorted by name. A probe is a rare event (a client sends
+// one only on a local prefix hit), so a tally sees a handful of names,
+// and a streaming stage holds one tally per (day, cookie): a slice is a
+// fraction of a map's memory there, which is what the replay allocates
+// per bucket and the collector walks on every cycle. Sorted order makes
+// the intersection of two profiles a merge and the tallies comparable
+// with reflect.DeepEqual; the price is an insert that shifts the tail.
+type counts []NameCount
+
+// add adds n to name's count.
+func (c *counts) add(name string, n int) {
+	i, found := slices.BinarySearchFunc(*c, name, func(e NameCount, name string) int {
+		return strings.Compare(e.Name, name)
+	})
+	if found {
+		(*c)[i].Count += n
+		return
+	}
+	*c = slices.Insert(*c, i, NameCount{Name: name, Count: n})
+}
+
+// shared returns the number of names c and o have in common.
+func (c counts) shared(o counts) int {
+	n := 0
+	for i, j := 0, 0; i < len(c) && j < len(o); {
+		switch d := strings.Compare(c[i].Name, o[j].Name); {
+		case d < 0:
+			i++
+		case d > 0:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
+// byCount returns the names as a report lists them: most counted
+// first, ties by name. nil when empty.
+func (c counts) byCount() []NameCount {
+	out := slices.Clone([]NameCount(c))
+	slices.SortStableFunc(out, func(a, b NameCount) int { return cmp.Compare(b.Count, a.Count) })
+	return out
+}
+
 // ClientTally is the per-cookie re-identification tally: how one
 // cookie's probes resolved against the web index. It is the scoring
 // core of Analyzer, also held per (day, cookie) by the streaming
@@ -26,15 +75,15 @@ import (
 type ClientTally struct {
 	probes    int
 	prefixes  int
-	exact     map[string]int
-	domains   map[string]int
+	exact     counts
+	domains   counts
 	ambiguous int
 	unknown   int
 }
 
 // NewClientTally returns an empty tally.
 func NewClientTally() *ClientTally {
-	return &ClientTally{exact: make(map[string]int), domains: make(map[string]int)}
+	return &ClientTally{}
 }
 
 // Observe files one probe's re-identification outcome: an exact URL, a
@@ -45,9 +94,9 @@ func (t *ClientTally) Observe(r Reidentification, prefixes int) {
 	t.prefixes += prefixes
 	switch {
 	case r.Exact:
-		t.exact[r.Candidates[0]]++
+		t.exact.add(r.Candidates[0], 1)
 	case r.CommonDomain != "":
-		t.domains[r.CommonDomain]++
+		t.domains.add(r.CommonDomain, 1)
 	case len(r.Candidates) > 0:
 		t.ambiguous++
 	default:
@@ -61,11 +110,11 @@ func (t *ClientTally) Observe(r Reidentification, prefixes int) {
 func (t *ClientTally) MergeFrom(o *ClientTally) {
 	t.probes += o.probes
 	t.prefixes += o.prefixes
-	for u, n := range o.exact {
-		t.exact[u] += n
+	for _, e := range o.exact {
+		t.exact.add(e.Name, e.Count)
 	}
-	for d, n := range o.domains {
-		t.domains[d] += n
+	for _, e := range o.domains {
+		t.domains.add(e.Name, e.Count)
 	}
 	t.ambiguous += o.ambiguous
 	t.unknown += o.unknown
@@ -82,8 +131,8 @@ func (t *ClientTally) Report(clientID string) ClientReport {
 		ClientID:  clientID,
 		Probes:    t.probes,
 		Prefixes:  t.prefixes,
-		ExactURLs: sortedCounts(t.exact),
-		Domains:   sortedCounts(t.domains),
+		ExactURLs: t.exact.byCount(),
+		Domains:   t.domains.byCount(),
 		Ambiguous: t.ambiguous,
 		Unknown:   t.unknown,
 	}
@@ -109,28 +158,28 @@ func BuildClientReport(clients map[string]*ClientTally) *Report {
 // concurrent use; callers hold their own lock.
 type DayTally struct {
 	probes     int
-	urls       map[string]int
-	domains    map[string]int
+	urls       counts
+	domains    counts
 	unresolved int
 }
 
 // NewDayTally returns an empty tally.
 func NewDayTally() *DayTally {
-	return &DayTally{urls: make(map[string]int), domains: make(map[string]int)}
+	return &DayTally{}
 }
 
 // Observe files one probe's re-identification outcome into the day
 // profile: exact URLs count toward their registrable domain too, so a
-// personal page strengthens both the page and the site evidence.
+// personal page strengthens both the page and the site evidence. (With
+// one candidate, CommonDomain is that candidate's domain.)
 func (t *DayTally) Observe(r Reidentification) {
 	t.probes++
 	switch {
 	case r.Exact:
-		u := r.Candidates[0]
-		t.urls[u]++
-		t.domains[urlx.RegisteredDomain(urlx.HostOf(u))]++
+		t.urls.add(r.Candidates[0], 1)
+		t.domains.add(r.CommonDomain, 1)
 	case r.CommonDomain != "":
-		t.domains[r.CommonDomain]++
+		t.domains.add(r.CommonDomain, 1)
 	default:
 		t.unresolved++
 	}
@@ -139,21 +188,11 @@ func (t *DayTally) Observe(r Reidentification) {
 // Probes returns the number of probes tallied (see ClientTally.Probes).
 func (t *DayTally) Probes() int { return t.probes }
 
-// profile returns the tally's identity fingerprint: the distinct
-// re-identified exact URLs and the distinct registrable domains. Exact
-// pages are what distinguish two clients sharing the same popular
-// sites, so linkage weighs them separately.
-func (t *DayTally) profile() (urls, domains map[string]bool) {
-	urls = make(map[string]bool, len(t.urls))
-	for u := range t.urls {
-		urls[u] = true
-	}
-	domains = make(map[string]bool, len(t.domains))
-	for d := range t.domains {
-		domains[d] = true
-	}
-	return urls, domains
-}
+// profileSize is the size of the tally's identity fingerprint: the
+// distinct re-identified exact URLs plus the distinct registrable
+// domains. Exact pages are what distinguish two clients sharing the
+// same popular sites, so linkage weighs them separately.
+func (t *DayTally) profileSize() int { return len(t.urls) + len(t.domains) }
 
 // UnixDay maps a time to its UTC calendar day number (days since the
 // Unix epoch, floored — correct for pre-1970 times too). It is the day
@@ -223,8 +262,8 @@ func BuildLongitudinalReport(days map[int64]map[string]*DayTally, cfg Longitudin
 			cd := CookieDay{
 				Cookie:     c,
 				Probes:     agg.probes,
-				ExactURLs:  sortedCounts(agg.urls),
-				Domains:    sortedCounts(agg.domains),
+				ExactURLs:  agg.urls.byCount(),
+				Domains:    agg.domains.byCount(),
 				Unresolved: agg.unresolved,
 				New:        firstSeen[c] == d,
 			}
@@ -265,28 +304,32 @@ func BuildLongitudinalReport(days map[int64]map[string]*DayTally, cfg Longitudin
 // once; ties break lexicographically, keeping the report
 // deterministic.
 func linkDay(days map[int64]map[string]*DayTally, cfg LongitudinalConfig, d int64, vanished, appeared []string) []CookieLink {
+	// Resolve each appeared cookie's tally once per day, not once per
+	// (vanished, appeared) pair.
+	curs := make([]*DayTally, len(appeared))
+	for i, a := range appeared {
+		curs[i] = days[d][a]
+	}
 	var cands []CookieLink
 	for _, v := range vanished {
-		prevURLs, prevDoms := days[d-1][v].profile()
-		if len(prevURLs)+len(prevDoms) == 0 {
+		prev := days[d-1][v]
+		if prev.profileSize() == 0 {
 			continue
 		}
-		for _, a := range appeared {
-			curURLs, curDoms := days[d][a].profile()
-			cur := len(curURLs) + len(curDoms)
-			if cur == 0 {
+		for i, a := range appeared {
+			cur := curs[i]
+			if cur.profileSize() == 0 {
 				continue
 			}
-			sharedURLs := intersect(prevURLs, curURLs)
-			shared := sharedURLs + intersect(prevDoms, curDoms)
-			if shared < cfg.MinShared || sharedURLs < cfg.MinSharedURLs {
+			sharedURLs := prev.urls.shared(cur.urls)
+			if sharedURLs < cfg.MinSharedURLs {
+				continue // most pairs share no page; skip the domain pass
+			}
+			shared := sharedURLs + prev.domains.shared(cur.domains)
+			if shared < cfg.MinShared {
 				continue
 			}
-			smaller := len(prevURLs) + len(prevDoms)
-			if cur < smaller {
-				smaller = cur
-			}
-			score := float64(shared) / float64(smaller)
+			score := float64(shared) / float64(min(prev.profileSize(), cur.profileSize()))
 			if score < cfg.MinLinkScore {
 				continue
 			}

@@ -41,7 +41,12 @@ func (s *LinkageStage) Name() string { return "linkage" }
 // index (outside the lock, like the batch Longitudinal) and tallied
 // under its (day, cookie) bucket.
 func (s *LinkageStage) Observe(p sbserver.Probe) {
-	r := s.x.Reidentify(p.Prefixes)
+	s.observeScored(p, s.x.Reidentify(p.Prefixes))
+}
+
+// observeScored implements scoredStage: it tallies p given r, the
+// stage's index's re-identification of p.Prefixes.
+func (s *LinkageStage) observeScored(p sbserver.Probe, r core.Reidentification) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.w.bucket(core.UnixDay(p.Time), p.ClientID, core.NewDayTally)

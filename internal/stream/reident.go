@@ -36,7 +36,12 @@ func (s *ReidentStage) Name() string { return "reident" }
 // index (outside the lock, like the batch Analyzer) and tallied under
 // its (day, cookie) bucket.
 func (s *ReidentStage) Observe(p sbserver.Probe) {
-	r := s.x.Reidentify(p.Prefixes)
+	s.observeScored(p, s.x.Reidentify(p.Prefixes))
+}
+
+// observeScored implements scoredStage: it tallies p given r, the
+// stage's index's re-identification of p.Prefixes.
+func (s *ReidentStage) observeScored(p sbserver.Probe, r core.Reidentification) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.w.bucket(core.UnixDay(p.Time), p.ClientID, core.NewClientTally)

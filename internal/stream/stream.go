@@ -32,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"sbprivacy/internal/core"
 	"sbprivacy/internal/sbserver"
 )
 
@@ -95,32 +96,88 @@ type Stage interface {
 // Pipeline fans one probe feed into N stages. It implements
 // sbserver.ProbeSink, so it can subscribe to a live server exactly
 // like the batch sinks do; Replay and Follow drive it from a store.
+//
+// The built-in stages all begin by re-identifying the probe against
+// their index, so the pipeline does that once per probe per distinct
+// index and hands every built-in stage the result; any other Stage —
+// a wrapper around a built-in one included — is driven through
+// Stage.Observe and scores for itself.
 type Pipeline struct {
-	stages   []Stage
-	mu       sync.Mutex
+	stages []Stage
+	// scored[i] is stages[i] when it is a built-in stage, with the slot
+	// of its index in indexes; the zero value marks a foreign stage.
+	scored  []scoredSlot
+	indexes []*core.Index
+	mu      sync.Mutex
+	// results[k] is indexes[k]'s re-identification of the probe being
+	// observed; scratch, valid only under mu.
+	results  []core.Reidentification
 	observed int64
+}
+
+// scoredStage is the hand-off the pipeline shares a re-identification
+// through. Each built-in stage's Observe is this method applied to its
+// own index's Reidentify, so the two entry points cannot diverge.
+type scoredStage interface {
+	observeScored(p sbserver.Probe, r core.Reidentification)
+}
+
+type scoredSlot struct {
+	stage scoredStage
+	slot  int
 }
 
 var _ sbserver.ProbeSink = (*Pipeline)(nil)
 
 // NewPipeline builds a pipeline over the given stages.
 func NewPipeline(stages ...Stage) *Pipeline {
-	return &Pipeline{stages: stages}
+	pl := &Pipeline{stages: stages, scored: make([]scoredSlot, len(stages))}
+	for i, s := range stages {
+		// Exact types only: a type that embeds a built-in stage inherits
+		// observeScored, but it overrides Observe to be called.
+		switch s := s.(type) {
+		case *ReidentStage:
+			pl.scored[i] = scoredSlot{s, pl.slotFor(s.x)}
+		case *LinkageStage:
+			pl.scored[i] = scoredSlot{s, pl.slotFor(s.x)}
+		}
+	}
+	pl.results = make([]core.Reidentification, len(pl.indexes))
+	return pl
 }
 
-// Observe implements sbserver.ProbeSink: the probe's timestamp first
-// advances every stage's watermark (evicting expired state), then the
-// probe is tallied by every stage. Stages are themselves concurrency-
-// safe; the pipeline's own lock only protects its probe counter and
-// keeps one probe's advance-then-observe pair adjacent per stage under
-// a serialized feed.
+// slotFor returns x's position in pl.indexes, adding it if new.
+func (pl *Pipeline) slotFor(x *core.Index) int {
+	for k, have := range pl.indexes {
+		if have == x {
+			return k
+		}
+	}
+	pl.indexes = append(pl.indexes, x)
+	return len(pl.indexes) - 1
+}
+
+// Observe implements sbserver.ProbeSink: the probe is re-identified
+// once per distinct index, then its timestamp advances each stage's
+// watermark (evicting expired state) before that stage tallies it.
+// Stages are themselves concurrency-safe; the pipeline's own lock
+// protects its probe counter and scratch results and keeps one probe's
+// advance-then-observe pair adjacent per stage under a serialized
+// feed.
 func (pl *Pipeline) Observe(p sbserver.Probe) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	pl.observed++
-	for _, s := range pl.stages {
+	for k, x := range pl.indexes {
+		pl.results[k] = x.Reidentify(p.Prefixes)
+	}
+	for i, s := range pl.stages {
 		s.Advance(p.Time)
-		s.Observe(p)
+		if sc := pl.scored[i]; sc.stage != nil {
+			sc.stage.observeScored(p, pl.results[sc.slot])
+		} else {
+			s.Observe(p)
+		}
 	}
 }
 

@@ -90,7 +90,9 @@ func (w *windowed[T]) bucket(day int64, cookie string, mk func() *T) (*T, bool) 
 	}
 	cookies := w.days[day]
 	if cookies == nil {
-		cookies = make(map[string]*T)
+		// A day sees about as many cookies as the day before it: start
+		// at that size instead of growing there by doubling.
+		cookies = make(map[string]*T, len(w.days[day-1]))
 		w.days[day] = cookies
 	}
 	t := cookies[cookie]

@@ -302,28 +302,31 @@ func digitVal(c byte, base uint64) (uint64, bool) {
 	return v, true
 }
 
+// isDottedQuad reports whether host is a canonical IPv4 dotted quad:
+// exactly four decimal octets 0-255, no empty label and no leading zero
+// beyond a bare "0".
 func isDottedQuad(host string) bool {
-	parts := strings.Split(host, ".")
-	if len(parts) != 4 {
-		return false
-	}
-	for _, p := range parts {
-		if p == "" || len(p) > 3 || !allDigits(p) {
+	octets, digits, v := 0, 0, 0
+	for i := 0; i <= len(host); i++ {
+		if i == len(host) || host[i] == '.' {
+			if digits == 0 {
+				return false
+			}
+			octets++
+			digits, v = 0, 0
+			continue
+		}
+		c := host[i]
+		if c < '0' || c > '9' || (digits == 1 && v == 0) {
 			return false
 		}
-		var v int
-		for i := 0; i < len(p); i++ {
-			v = v*10 + int(p[i]-'0')
-		}
+		digits++
+		v = v*10 + int(c-'0')
 		if v > 255 {
 			return false
 		}
-		// Reject leading zeros beyond a bare "0" so canonical quads only.
-		if len(p) > 1 && p[0] == '0' {
-			return false
-		}
 	}
-	return true
+	return octets == 4
 }
 
 // canonicalPath resolves "/./" and "/../" segments and collapses runs of

@@ -20,23 +20,26 @@ var _multiLabelSuffixes = map[string]struct{}{
 
 // RegisteredDomain returns the registrable domain (second-level domain) of
 // a hostname: the public suffix plus one label. IP addresses and hosts with
-// fewer than two labels are returned unchanged.
+// fewer than two labels are returned unchanged. The result is always a
+// suffix of host (a substring, no allocation).
 func RegisteredDomain(host string) string {
 	if isDottedQuad(host) {
 		return host
 	}
-	labels := strings.Split(host, ".")
-	n := len(labels)
-	if n <= 2 {
+	last := strings.LastIndexByte(host, '.')
+	if last < 0 {
 		return host
 	}
-	if _, ok := _multiLabelSuffixes[strings.Join(labels[n-2:], ".")]; ok {
-		if n == 3 {
-			return host
-		}
-		return strings.Join(labels[n-3:], ".")
+	second := strings.LastIndexByte(host[:last], '.')
+	if second < 0 {
+		return host
 	}
-	return strings.Join(labels[n-2:], ".")
+	if _, ok := _multiLabelSuffixes[host[second+1:]]; ok {
+		// Suffix plus one label; a three-label host has no dot left and
+		// is its own registrable domain.
+		return host[strings.LastIndexByte(host[:second], '.')+1:]
+	}
+	return host[second+1:]
 }
 
 // DomainOf canonicalizes rawURL and returns its registrable domain.
