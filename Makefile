@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench docs-check examples-check ablate-smoke loadrig-smoke idxbench-guard live-smoke streambench-smoke pipelinebench-smoke
+.PHONY: check build vet lint test race bench docs-check examples-check ablate-smoke loadrig-smoke idxbench-guard live-smoke streambench-smoke pipelinebench-smoke storebench-smoke
 
 check: build vet race
 
@@ -114,6 +114,14 @@ streambench-smoke:
 # bench-smoke job calls this.
 pipelinebench-smoke:
 	$(GO) test -run '^$$' -bench PipelineObserve -benchtime 1x ./internal/stream
+
+# storebench-smoke runs the probe store's two hot-loop benchmarks (the
+# write path every probe pays, and a client-history query over bloom
+# sidecars and cached segment indexes; ns, allocs and segment opens per
+# operation) for one iteration each, so they cannot rot between the PRs
+# that read them; CI's bench-smoke job calls this.
+storebench-smoke:
+	$(GO) test -run '^$$' -bench 'StoreIngest$$|ClientHistorySparse' -benchtime 1x ./internal/probestore
 
 build:
 	$(GO) build ./...

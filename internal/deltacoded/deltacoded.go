@@ -19,6 +19,7 @@ package deltacoded
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sbprivacy/internal/hashx"
@@ -72,21 +73,51 @@ func Build(sorted []hashx.Prefix) (*Table, error) {
 
 // BuildFromUnsorted sorts and deduplicates prefixes, then builds the table.
 func BuildFromUnsorted(prefixes []hashx.Prefix) *Table {
-	sorted := make([]hashx.Prefix, len(prefixes))
-	copy(sorted, prefixes)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	uniq := sorted[:0]
-	for i, p := range sorted {
-		if i == 0 || p != sorted[i-1] {
-			uniq = append(uniq, p)
-		}
-	}
-	t, err := Build(uniq)
+	return mustBuild(slices.Compact(sortedCopy(prefixes)))
+}
+
+// mustBuild is Build for input this package has itself sorted and
+// deduplicated.
+func mustBuild(sorted []hashx.Prefix) *Table {
+	t, err := Build(sorted)
 	if err != nil {
-		// Unreachable: input is sorted and deduplicated above.
 		panic(fmt.Sprintf("deltacoded: internal build error: %v", err))
 	}
 	return t
+}
+
+func sortedCopy(prefixes []hashx.Prefix) []hashx.Prefix {
+	sorted := slices.Clone(prefixes)
+	slices.Sort(sorted)
+	return sorted
+}
+
+// MergeSorted returns (base ∪ add) \ remove, sorted and without
+// duplicates: the add/sub-chunk update of a prefix set that is kept
+// sorted. base must be sorted and unique; add and remove may be in any
+// order and repeat, and a prefix in both is removed. Only the two
+// updates are sorted (copies; the arguments are left alone) — one
+// linear pass then merges them into base.
+func MergeSorted(base, add, remove []hashx.Prefix) []hashx.Prefix {
+	add, remove = sortedCopy(add), sortedCopy(remove)
+	merged := make([]hashx.Prefix, 0, len(base)+len(add))
+	for len(base) > 0 || len(add) > 0 {
+		var p hashx.Prefix
+		if len(add) == 0 || (len(base) > 0 && base[0] <= add[0]) {
+			p, base = base[0], base[1:]
+		} else {
+			p, add = add[0], add[1:]
+		}
+		for len(remove) > 0 && remove[0] < p {
+			remove = remove[1:]
+		}
+		dropped := len(remove) > 0 && remove[0] == p
+		repeated := len(merged) > 0 && merged[len(merged)-1] == p
+		if !dropped && !repeated {
+			merged = append(merged, p)
+		}
+	}
+	return merged
 }
 
 // Contains reports whether the prefix is in the table.
@@ -155,20 +186,5 @@ func (t *Table) Prefixes() []hashx.Prefix {
 // Merge rebuilds the table with additions applied and removals dropped,
 // the update model of the Safe Browsing protocol (add/sub chunks).
 func (t *Table) Merge(add, remove []hashx.Prefix) *Table {
-	drop := make(map[hashx.Prefix]struct{}, len(remove))
-	for _, p := range remove {
-		drop[p] = struct{}{}
-	}
-	merged := make([]hashx.Prefix, 0, t.n+len(add))
-	for _, p := range t.Prefixes() {
-		if _, gone := drop[p]; !gone {
-			merged = append(merged, p)
-		}
-	}
-	for _, p := range add {
-		if _, gone := drop[p]; !gone {
-			merged = append(merged, p)
-		}
-	}
-	return BuildFromUnsorted(merged)
+	return mustBuild(MergeSorted(t.Prefixes(), add, remove))
 }

@@ -83,29 +83,7 @@ func (s *SortedSet) SizeBytes() int {
 func (s *SortedSet) Apply(add, remove []hashx.Prefix) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	drop := make(map[hashx.Prefix]struct{}, len(remove))
-	for _, p := range remove {
-		drop[p] = struct{}{}
-	}
-	merged := make([]hashx.Prefix, 0, len(s.prefixes)+len(add))
-	for _, p := range s.prefixes {
-		if _, gone := drop[p]; !gone {
-			merged = append(merged, p)
-		}
-	}
-	for _, p := range add {
-		if _, gone := drop[p]; !gone {
-			merged = append(merged, p)
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-	uniq := merged[:0]
-	for i, p := range merged {
-		if i == 0 || p != merged[i-1] {
-			uniq = append(uniq, p)
-		}
-	}
-	s.prefixes = uniq
+	s.prefixes = deltacoded.MergeSorted(s.prefixes, add, remove)
 }
 
 // Snapshot returns a copy of the sorted prefixes.

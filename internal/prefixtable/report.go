@@ -73,8 +73,9 @@ type DesignResult struct {
 	// LookupMissNsPerOp is the cost of one absent-prefix lookup.
 	LookupMissNsPerOp float64 `json:"lookup_miss_ns_per_op"`
 	// LookupAllocsPerOp is allocations per lookup, measured over the
-	// hit loop with a reused destination buffer. The flat design is
-	// gated at 0.
+	// hit loop with a reused destination buffer: the smallest rate of a
+	// few windows, since the process-wide malloc counter it reads also
+	// counts other goroutines. The flat design is gated at 0.
 	LookupAllocsPerOp float64 `json:"lookup_allocs_per_op"`
 	// RemoveNsPerOp is the amortized cost of one remove during the
 	// teardown of a sampled subset.

@@ -15,8 +15,8 @@ import (
 // aggressive segment rotation and retention enabled — the configuration
 // that proves spilling keeps memory bounded while the disk absorbs the
 // stream. live-MB reports the on-disk working set; heap growth stays
-// flat because only the write buffer and the retained segments' client
-// index are resident.
+// flat because only the write buffer, the tail segment's cookie set and
+// the sealed segments' Bloom filters are resident — nothing per record.
 func BenchmarkStoreIngest(b *testing.B) {
 	dir := b.TempDir()
 	s, err := Open(dir,
@@ -147,9 +147,11 @@ func BenchmarkStoreReplay(b *testing.B) {
 }
 
 // BenchmarkClientHistorySparse measures the sidecar payoff: a client
-// that appears in one segment out of many is reconstructed by opening
-// only the bloom-matching segments. opens/op and skips/op make the
-// scaling visible — opens stay near 1 while the store holds dozens of
+// that appears in one segment out of many is reconstructed by looking
+// only inside the bloom-matching segments. opens/op and skips/op make
+// the scaling visible — the first query indexes the matching segments
+// (one open each) and every later one reads through the handles those
+// indexes keep, so opens/op tends to 0 while the store holds dozens of
 // segments; without the sidecars every query would scan all of them.
 func BenchmarkClientHistorySparse(b *testing.B) {
 	dir := b.TempDir()
@@ -201,8 +203,8 @@ func BenchmarkClientHistorySparse(b *testing.B) {
 	b.ReportMetric(opensPerOp, "opens/op")
 	b.ReportMetric(float64(st.BloomSkips)/float64(b.N), "skips/op")
 	// The acceptance bound: opens scale with bloom hits, not segment
-	// count. Steady state is 1 open per query (the matching segment's
-	// record read); the first iteration adds its lazy index builds.
+	// count. Steady state is no open at all; the first iteration's lazy
+	// index builds are the only ones.
 	if opensPerOp > float64(segments)/4 {
 		b.Fatalf("opens/op = %.1f across %d segments: bloom skipping is not engaged", opensPerOp, segments)
 	}

@@ -229,15 +229,16 @@ func (sf *segFollower) drain(fn func(sbserver.Probe) error) (int, error) {
 		sf.buf = sf.buf[wire.SegmentHeaderSize:]
 		sf.hdrDone = true
 	}
+	var fr wire.ProbeFrame
 	for len(sf.buf) > 0 {
-		rec, n, err := wire.DecodeProbeRecord(sf.buf)
+		n, err := fr.Parse(sf.buf)
 		if errors.Is(err, wire.ErrTornRecord) {
 			break // mid-spill; the rest arrives with the next poll
 		}
 		if err != nil {
 			return delivered, fmt.Errorf("probestore: follow segment %d: %w", sf.id, err)
 		}
-		if err := fn(recordProbe(rec)); err != nil {
+		if err := fn(frameProbe(&fr)); err != nil {
 			return delivered, err
 		}
 		sf.buf = sf.buf[n:]

@@ -29,11 +29,16 @@
 // wire.MsgProbeIndex format): the segment's record count, byte extent,
 // and a Bloom filter of its client cookies. Open loads sidecars instead
 // of scanning segment files, and ClientHistory consults the per-segment
-// filters to open only segments that may contain the queried cookie —
-// the "history of client X" query costs one file open per bloom hit,
-// not one scan per live segment. Sidecars are advisory: a missing, torn
-// or stale sidecar (and a live writer's still-growing tail segment,
-// which never has one) falls back to a full scan of that segment.
+// filters to look only inside segments that may contain the queried
+// cookie. The first query that has to look inside a segment scans it
+// once into a client index (cookie → record offsets) and keeps the read
+// handle it scanned through; every later query of that segment is a map
+// lookup and one pread per matching record, with no file open at all —
+// the "history of client X" query costs one scan per bloom hit the
+// first time, not one scan per live segment. Sidecars are advisory: a
+// missing, torn or stale sidecar (and a live writer's still-growing
+// tail segment, which never has one) falls back to a full scan of that
+// segment.
 //
 // Order: the store has one write buffer and one lock, and encoding a
 // probe into the buffer, spilling it, Flush and Close are each one
@@ -46,28 +51,38 @@
 // windowed stream analysis of the store drops nothing as late.
 // Concurrent producers interleave in the order they won the lock.
 //
-// Memory model: the probes themselves live on disk. A writable store
-// keeps the write buffer (the spill threshold; while the disk refuses
-// spills, a backlog of up to 16 times that, at least 1 MiB) and roughly
-// 24 bytes of bookkeeping per record of the segments it wrote in this
-// run (pruned with retention); segments recovered from sidecars cost
-// only their Bloom filter until a client query touches them, at which
-// point that segment's index is built lazily and cached.
-// A read-only store defers all indexing until the first Clients or
-// ClientHistory call, so pure Replay streams with no per-record memory
-// at all.
+// Memory model: the probes themselves live on disk, and nobody indexes
+// a record by writing it. A writer keeps the write buffer (the spill
+// threshold; while the disk refuses spills, a backlog of up to 16 times
+// that, at least 1 MiB), the exact cookie set of the one segment it is
+// appending to — what that segment's Bloom filter is sealed from, and
+// dropped when it is — and a Bloom filter of about 10 bits per cookie
+// for each sealed segment: nothing per record, however long it runs.
+// Indexes belong to queries. A Clients or ClientHistory call that has
+// to look inside a segment — whether the segment was adopted from a
+// sidecar, scanned at Open, written by this process or is the still-
+// growing tail — builds that segment's index by scanning the file once:
+// 16 bytes per record in one flat array, one map entry per cookie, and
+// one open file descriptor, all three living exactly as long as the
+// segment does in this store (until retention evicts it, or Close). An
+// index remembers the byte extent it covers; a query that finds the
+// segment has grown past it scans only the new tail. A store that is
+// never queried — a serving process, a pure Replay or Follow — holds no
+// index and no read handle at all.
 package probestore
 
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"sbprivacy/internal/hashx"
 	"sbprivacy/internal/sbserver"
 	"sbprivacy/internal/wire"
 )
@@ -129,14 +144,16 @@ type Stats struct {
 	Dropped uint64
 	// TruncatedBytes counts torn-tail bytes discarded during recovery.
 	TruncatedBytes int64
-	// SegmentOpens counts segment files opened by client-history
-	// queries. With bloom sidecars this scales with the number of
-	// segments that may contain the client, not with the live segment
-	// count — the property BenchmarkClientHistorySparse measures.
+	// SegmentOpens counts segment files opened by client queries: one
+	// per segment index built (an evicted segment's failed attempt
+	// included), none for a query served from an index that exists.
+	// With bloom sidecars this scales with the number of segments that
+	// may contain the queried clients, not with the live segment count —
+	// the property BenchmarkClientHistorySparse measures.
 	SegmentOpens uint64
 	// BloomSkips counts segments a client-history query skipped without
-	// opening because the segment's cookie filter (or exact client set)
-	// ruled the client out.
+	// reading because the segment's cookie filter (or exact client set,
+	// or index) ruled the client out.
 	BloomSkips uint64
 }
 
@@ -198,13 +215,6 @@ type recordRef struct {
 	n   int32
 }
 
-// pendingRec is the index metadata of one not-yet-spilled record.
-type pendingRec struct {
-	client string
-	off    int
-	n      int
-}
-
 // Store is a persistent probe log rooted at one directory. It is safe
 // for concurrent use; Observe may be called from many goroutines (the
 // probe pipeline's drainers).
@@ -216,22 +226,23 @@ type Store struct {
 	lock *os.File
 
 	// mu guards the writer state below and every segmentInfo's mutable
-	// fields (index, clients, missing, bytes, records). It is the
-	// store's only lock: Observe, spill, Flush and Close are each one
-	// critical section, so the on-disk order is the order in which
-	// Observe calls returned.
+	// fields (idx and what it points to, clients, missing, bytes,
+	// records). It is the store's only lock: Observe, spill, Flush and
+	// Close are each one critical section, so the on-disk order is the
+	// order in which Observe calls returned. Release it with unlock.
 	mu sync.Mutex
-	// buf holds the encoded records not yet spilled; pending mirrors
-	// them so a spill can extend the segment index with exact disk
-	// offsets.
+	// buf holds the pending encoded records not yet spilled.
 	buf      []byte
-	pending  []pendingRec
+	pending  int
 	cur      *os.File
 	curID    uint64
 	curSize  int64
 	segments []*segmentInfo // live segments in id order, including current
 	closed   bool
 	writeErr error
+	// detached collects the index read handles of segments that left the
+	// store while mu was held (retention, Close); unlock closes them.
+	detached []*os.File
 
 	received        uint64
 	dropped         uint64
@@ -327,7 +338,7 @@ func (s *Store) Observe(p sbserver.Probe) {
 		Prefixes: p.Prefixes,
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	s.received++
 	// closed is read under the lock Close holds from its final spill to
 	// setting it, so a probe racing Close is either in that spill (and
@@ -340,16 +351,13 @@ func (s *Store) Observe(p sbserver.Probe) {
 		s.noteErrLocked(ErrClosed)
 		return
 	}
-	off := len(s.buf)
 	buf, err := wire.AppendProbeRecord(s.buf, &rec)
 	if err != nil {
 		s.noteErrLocked(err)
 		return
 	}
 	s.buf = buf
-	s.pending = append(s.pending, pendingRec{
-		client: rec.ClientID, off: off, n: len(buf) - off,
-	})
+	s.pending++
 	if len(s.buf) >= s.cfg.spillThreshold {
 		//sbcheck:ignore lockscope single-writer store contract: buffering and spilling in one critical section is what makes disk order equal arrival order
 		if err := s.spillLocked(); err != nil {
@@ -377,14 +385,30 @@ func (s *Store) noteErrLocked(err error) {
 // dropPendingLocked discards the buffered records and counts them in
 // Stats.Dropped. The caller holds s.mu.
 func (s *Store) dropPendingLocked() {
-	s.dropped += uint64(len(s.pending))
+	s.dropped += uint64(s.pending)
 	s.buf = s.buf[:0]
-	s.pending = s.pending[:0]
+	s.pending = 0
 }
 
-// spillLocked appends the write buffer to the current segment and
-// indexes the spilled records. On a closed store it does nothing: what
-// Close could not write stays unwritten. The caller holds s.mu.
+// unlock releases s.mu and then closes the index read handles detached
+// while it was held: closing a file is I/O, and no reader's close has
+// any business in the writer's critical section.
+func (s *Store) unlock() {
+	detached := s.detached
+	s.detached = nil
+	s.mu.Unlock()
+	for _, f := range detached {
+		f.Close() //nolint:errcheck // read-side close
+	}
+}
+
+// spillLocked appends the write buffer to the current segment and adds
+// the spilled records' cookies to that segment's exact client set — at
+// spill time, once rotation has decided which segment the records land
+// in; a cookie registered when it was observed could end up in the set
+// of the segment before the one that holds it, and the sealed filter
+// would then deny it. On a closed store it does nothing: what Close
+// could not write stays unwritten. The caller holds s.mu.
 func (s *Store) spillLocked() error {
 	if len(s.buf) == 0 || s.closed {
 		return nil
@@ -394,12 +418,10 @@ func (s *Store) spillLocked() error {
 			return err
 		}
 	}
-	base := s.curSize
 	if _, err := s.cur.Write(s.buf); err != nil {
 		// A short write (disk full, I/O error) may have left a torn
 		// fragment on disk past curSize. Roll the file back to the last
-		// record boundary so the segment stays scannable and later
-		// spills land at the offsets the index will claim; the buffered
+		// record boundary so the segment stays scannable; the buffered
 		// records stay in the buffer for a retry.
 		if terr := s.cur.Truncate(s.curSize); terr != nil {
 			// The fragment is stuck. Abandon the file — appending after
@@ -421,17 +443,12 @@ func (s *Store) spillLocked() error {
 	s.curSize += int64(len(s.buf))
 	seg := s.segments[len(s.segments)-1]
 	seg.bytes = s.curSize
-	seg.records += len(s.pending)
-	for _, pr := range s.pending {
-		seg.index[pr.client] = append(seg.index[pr.client], recordRef{
-			off: base + int64(pr.off), n: int32(pr.n),
-		})
-		seg.clients[pr.client] = true
-	}
-	s.persisted += uint64(len(s.pending))
+	seg.records += s.pending
+	s.persisted += uint64(s.pending)
+	err := seg.addClients(s.buf)
 	s.buf = s.buf[:0]
-	s.pending = s.pending[:0]
-	return nil
+	s.pending = 0
+	return err
 }
 
 // rotateLocked seals the current segment (if any) — sync, close, and
@@ -480,7 +497,6 @@ func (s *Store) rotateLocked() error {
 		id:      id,
 		bytes:   s.curSize,
 		clients: make(map[string]bool),
-		index:   make(map[string][]recordRef),
 	})
 	s.pruneLocked()
 	return nil
@@ -519,6 +535,10 @@ func (s *Store) pruneLocked() {
 		s.segments = s.segments[1:]
 		s.evictedSegments++
 		s.evictedRecords += uint64(oldest.records)
+		// A query that snapshotted the segment list before this point
+		// skips the segment from here on.
+		oldest.missing = true
+		s.detachIndexLocked(oldest)
 	}
 }
 
@@ -528,7 +548,7 @@ func (s *Store) pruneLocked() {
 // accumulated-error reporting.
 func (s *Store) spill() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	err := s.spillLocked() //sbcheck:ignore lockscope single-writer store contract: the visibility barrier is a spill, and a spill is a segment append under s.mu
 	if err != nil {
 		s.noteErrLocked(err)
@@ -545,7 +565,7 @@ func (s *Store) spill() error {
 // "first error since the last Flush" contract).
 func (s *Store) Flush() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	return s.flushLocked() //sbcheck:ignore lockscope single-writer store contract: Flush spills and syncs under s.mu so no Observe can slip between the sync and the error harvest
 }
 
@@ -565,12 +585,13 @@ func (s *Store) flushLocked() error {
 }
 
 // Close flushes and closes the store, sealing the final segment with
-// its index sidecar. Probes observed after Close are counted as write
-// errors and dropped. Closing a closed store returns ErrClosed and does
-// nothing else.
+// its index sidecar and dropping every segment index with its read
+// handle. Probes observed after Close are counted as write errors and
+// dropped, Clients and ClientHistory return ErrClosed. Closing a closed
+// store returns ErrClosed and does nothing else.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.closed {
 		return ErrClosed
 	}
@@ -593,6 +614,9 @@ func (s *Store) Close() error {
 				err = serr
 			}
 		}
+	}
+	for _, seg := range s.segments {
+		s.detachIndexLocked(seg)
 	}
 	s.releaseLock() //sbcheck:ignore lockscope single-writer store contract: the dir lock must drop before s.mu releases or a racing Open could double-own the store
 	return err
@@ -652,54 +676,56 @@ func (s *Store) Segments() []SegmentInfo {
 	return out
 }
 
-// Clients returns every client cookie with at least one persisted
-// probe, sorted. On a writable store it spills buffered probes first
-// so they are visible (no fsync — visibility, not durability). This is
-// the expensive enumeration path: segments known only through a bloom
-// sidecar must be scanned to list their cookies exactly (the filter
-// cannot be enumerated), and the per-segment indexes built by those
-// scans stay cached for later ClientHistory calls.
-func (s *Store) Clients() ([]string, error) {
+// querySegments is the start of every client query: on a writable store
+// the buffered probes are spilled so they are visible (no fsync —
+// visibility, not durability), then the live segments are snapshotted.
+func (s *Store) querySegments() ([]*segmentInfo, error) {
 	if !s.cfg.readOnly {
 		if err := s.spill(); err != nil {
 			return nil, err
 		}
 	}
 	s.mu.Lock()
-	segs := append([]*segmentInfo(nil), s.segments...)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	return append([]*segmentInfo(nil), s.segments...), nil
+}
+
+// Clients returns every client cookie with at least one persisted
+// probe, sorted. On a writable store it spills buffered probes first.
+// This is the expensive enumeration path: segments known only through a
+// bloom sidecar must be scanned to list their cookies exactly (the
+// filter cannot be enumerated), and the per-segment indexes built by
+// those scans stay cached for later ClientHistory calls.
+func (s *Store) Clients() ([]string, error) {
+	segs, err := s.querySegments()
+	if err != nil {
+		return nil, err
+	}
 	set := make(map[string]bool)
 	for _, seg := range segs {
 		s.mu.Lock()
-		var names []string
-		known := false
-		switch {
-		case seg.missing:
-			known = true
-		case seg.clients != nil:
-			known = true
-			for c := range seg.clients {
-				names = append(names, c)
-			}
-		case seg.index != nil:
-			known = true
-			for c := range seg.index {
-				names = append(names, c)
+		exact := seg.missing || seg.clients != nil
+		for c := range seg.clients {
+			set[c] = true
+		}
+		want := seg.bytes
+		s.mu.Unlock()
+		if exact {
+			continue
+		}
+		idx, err := s.lockIndex(seg, want)
+		if err != nil {
+			return nil, err
+		}
+		if idx != nil {
+			for c := range idx.postings {
+				set[c] = true
 			}
 		}
 		s.mu.Unlock()
-		if !known {
-			idx, err := s.buildSegIndex(seg)
-			if err != nil {
-				return nil, err
-			}
-			for c := range idx {
-				names = append(names, c)
-			}
-		}
-		for _, c := range names {
-			set[c] = true
-		}
 	}
 	out := make([]string, 0, len(set))
 	for c := range set {
@@ -709,16 +735,17 @@ func (s *Store) Clients() ([]string, error) {
 	return out, nil
 }
 
-// segMayContain reports whether a client-history query must look inside
-// the segment, consulting (in order of precision) the cached index, the
-// exact client set, and the sidecar bloom. Unknown segments — no
-// metadata at all — must be checked. The caller holds s.mu.
+// mayContainLocked reports whether a client-history query must look
+// inside the segment, consulting (in order of precision) an index that
+// covers the segment, the exact client set, and the sidecar bloom.
+// Unknown segments — no metadata at all — must be checked. The caller
+// holds s.mu.
 func (seg *segmentInfo) mayContainLocked(clientID string) bool {
 	switch {
 	case seg.missing:
 		return false
-	case seg.index != nil:
-		return len(seg.index[clientID]) > 0
+	case seg.idx != nil && seg.idx.extent >= seg.bytes:
+		return len(seg.idx.postings[clientID]) > 0
 	case seg.clients != nil:
 		return seg.clients[clientID]
 	case seg.filter != nil:
@@ -728,116 +755,95 @@ func (seg *segmentInfo) mayContainLocked(clientID string) bool {
 	}
 }
 
-// buildSegIndex scans one segment and installs its per-segment index
-// (client → record refs), returning the installed map. The scan runs
-// without holding s.mu; a segment evicted by a concurrently-running
-// writer's retention is marked missing — cached, so a long history
-// costs one failed open, not one per record — and yields a nil map.
-func (s *Store) buildSegIndex(seg *segmentInfo) (map[string][]recordRef, error) {
-	s.segmentOpens.Add(1)
-	idx := make(map[string][]recordRef)
-	records := 0
-	_, _, err := walkSegment(segmentPath(s.dir, seg.id), seg.id,
-		func(rec *wire.ProbeRecord, off int64, n int) error {
-			idx[rec.ClientID] = append(idx[rec.ClientID], recordRef{off: off, n: int32(n)})
-			records++
-			return nil
-		})
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if errors.Is(err, fs.ErrNotExist) {
-		seg.missing = true
-		return nil, nil
-	}
+// ClientHistory returns every persisted probe of one client cookie in
+// arrival order — the provider's "history of client X" query. Segments
+// whose bloom sidecar (or exact client set, or index) rules the cookie
+// out are skipped without touching the file, so the cost scales with
+// the segments that actually contain the client; only bloom false
+// positives (~1%) pay a wasted scan, once. On a writable store it
+// spills the write buffer first, and every probe observed before the
+// call is in the answer.
+func (s *Store) ClientHistory(clientID string) ([]sbserver.Probe, error) {
+	segs, err := s.querySegments()
 	if err != nil {
 		return nil, err
 	}
-	if seg.index == nil {
-		seg.index = idx
-		seg.records = records
-	}
-	return seg.index, nil
-}
-
-// ClientHistory returns every persisted probe of one client cookie in
-// arrival order — the provider's "history of client X" query. Segments
-// whose bloom sidecar (or exact client set) rules the cookie out are
-// skipped without opening the file, so the cost scales with the
-// segments that actually contain the client; only bloom false
-// positives (~1%) pay a wasted scan. On a writable store it spills the
-// write buffer first.
-func (s *Store) ClientHistory(clientID string) ([]sbserver.Probe, error) {
-	if !s.cfg.readOnly {
-		if err := s.spill(); err != nil {
-			return nil, err
-		}
-	}
-	s.mu.Lock()
-	segs := append([]*segmentInfo(nil), s.segments...)
-	s.mu.Unlock()
 	var out []sbserver.Probe
 	for _, seg := range segs {
 		s.mu.Lock()
-		may := seg.mayContainLocked(clientID)
-		indexed := seg.index != nil
-		var refs []recordRef
-		if may && indexed {
-			refs = append(refs, seg.index[clientID]...)
-		}
+		may, want := seg.mayContainLocked(clientID), seg.bytes
 		s.mu.Unlock()
 		if !may {
 			s.bloomSkips.Add(1)
 			continue
 		}
-		if !indexed {
-			idx, err := s.buildSegIndex(seg)
-			if err != nil {
-				return nil, err
-			}
-			refs = idx[clientID] // nil map (evicted segment) yields no refs
+		idx, err := s.lockIndex(seg, want)
+		if err != nil {
+			return nil, err
 		}
+		if idx == nil {
+			s.mu.Unlock()
+			continue
+		}
+		refs, f := idx.postings[clientID], idx.f
+		s.mu.Unlock()
 		if len(refs) == 0 {
 			continue
 		}
-		var err error
-		out, err = s.readRefs(seg, refs, out)
-		if err != nil {
+		if out, err = s.readRefs(seg, f, clientID, refs, out); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// readRefs reads the referenced records from one segment file and
-// appends their probes to out. A segment evicted between indexing and
-// reading is marked missing and skipped, matching Replay's semantics.
-func (s *Store) readRefs(seg *segmentInfo, refs []recordRef, out []sbserver.Probe) ([]sbserver.Probe, error) {
-	s.segmentOpens.Add(1)
-	f, err := os.Open(segmentPath(s.dir, seg.id))
-	if os.IsNotExist(err) {
-		s.mu.Lock()
-		seg.missing = true
-		s.mu.Unlock()
-		return out, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("probestore: open segment %d: %w", seg.id, err)
-	}
-	defer f.Close() //nolint:errcheck // read-side close
-	buf := make([]byte, 0, 512)
+// readRefs reads the referenced records of one client through the
+// segment index's read handle and appends their probes to out: one
+// pread and one parse per record, checked to carry the queried cookie
+// (an index that points at somebody else's record means the file
+// changed under it), every probe sharing the caller's clientID string
+// and taking its prefixes from one slab sized from the frame lengths.
+// A handle closed under the read — retention evicted the segment, or
+// the store was closed — is a skip or ErrClosed, not a read error.
+func (s *Store) readRefs(seg *segmentInfo, f *os.File, clientID string, refs []recordRef, out []sbserver.Probe) ([]sbserver.Probe, error) {
+	slabCap, longest := 0, 0
 	for _, r := range refs {
-		if cap(buf) < int(r.n) {
-			buf = make([]byte, r.n)
-		}
-		buf = buf[:r.n]
-		if _, err := f.ReadAt(buf, r.off); err != nil {
+		slabCap += int(r.n) / hashx.PrefixSize
+		longest = max(longest, int(r.n))
+	}
+	slab := make([]hashx.Prefix, 0, slabCap)
+	frame := make([]byte, longest)
+	out = slices.Grow(out, len(refs))
+	var fr wire.ProbeFrame
+	for _, r := range refs {
+		frame = frame[:r.n]
+		if _, err := f.ReadAt(frame, r.off); err != nil {
+			if errors.Is(err, os.ErrClosed) {
+				s.mu.Lock()
+				gone, closed := seg.missing, s.closed
+				s.mu.Unlock()
+				if gone {
+					return out, nil
+				}
+				if closed {
+					return nil, ErrClosed
+				}
+			}
 			return nil, fmt.Errorf("probestore: read segment %d at %d: %w", seg.id, r.off, err)
 		}
-		rec, _, err := wire.DecodeProbeRecord(buf)
-		if err != nil {
+		if _, err := fr.Parse(frame); err != nil {
 			return nil, fmt.Errorf("probestore: segment %d at %d: %w", seg.id, r.off, err)
 		}
-		out = append(out, recordProbe(rec))
+		if string(fr.ClientID) != clientID {
+			return nil, fmt.Errorf("probestore: segment %d at %d: record of client %q where the index has %q", seg.id, r.off, fr.ClientID, clientID)
+		}
+		p := sbserver.Probe{Time: time.Unix(0, fr.UnixNano), ClientID: clientID}
+		if fr.NumPrefixes() > 0 {
+			start := len(slab)
+			slab = fr.AppendPrefixes(slab)
+			p.Prefixes = slab[start:len(slab):len(slab)]
+		}
+		out = append(out, p)
 	}
 	return out, nil
 }

@@ -1,8 +1,10 @@
 package probestore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"sbprivacy/internal/bloom"
+	"sbprivacy/internal/hashx"
 	"sbprivacy/internal/sbserver"
 	"sbprivacy/internal/wire"
 )
@@ -25,21 +28,66 @@ type segmentInfo struct {
 	id      uint64
 	bytes   int64 // valid bytes, header included
 	records int
-	// clients is the exact set of cookies with records in this segment.
-	// Present for segments this process wrote or scanned; nil for
-	// segments adopted from a sidecar, where filter stands in.
+	// clients is the exact set of cookies with records in this segment,
+	// kept while nothing else can stand in for it: on the segment a
+	// writer is appending to (the filter is sealed from it), on a
+	// segment whose sidecar write failed, and on the segments a
+	// read-only open had to scan. nil once filter exists.
 	clients map[string]bool
 	// filter is the sidecar's client-cookie Bloom filter (nil until the
 	// segment is sealed, and on scanned segments without a sidecar).
 	filter *bloom.Filter
-	// index maps client → record refs inside this segment. Maintained
-	// incrementally for the writable store's current segment; built
-	// lazily (buildSegIndex) for everything else. nil until built.
-	index map[string][]recordRef
-	// missing records that the segment file disappeared (a live
-	// writer's retention evicted it while we were reading). Cached so
-	// later queries skip the segment without retrying the open.
+	// idx is the segment's client index, built by the first query that
+	// has to look inside the segment (lockIndex). nil until then.
+	idx *segIndex
+	// missing records that the segment is gone: this store's retention
+	// evicted it, or a live writer's did while we were reading. Cached
+	// so later queries skip the segment without retrying the open.
 	missing bool
+}
+
+// segIndex is one segment's client index: where each cookie's records
+// are in the file, and the handle to read them through. The handle is
+// the one the builder scanned with and lives exactly as long as the
+// index, so a query never reopens a segment.
+type segIndex struct {
+	f *os.File
+	// extent is the byte extent of the file the postings cover, always a
+	// record boundary. A query trusts the index when extent reaches the
+	// segment size it read under s.mu and extends it over the bytes
+	// after extent otherwise.
+	extent int64
+	// postings maps a cookie to its records in file order. After a build
+	// each cookie's slice is carved, at full capacity, out of one flat
+	// array, so extending one cookie's postings reallocates them instead
+	// of overwriting its neighbour's.
+	postings map[string][]recordRef
+}
+
+// addClient adds one record's cookie to the segment's exact client set.
+// The cookie is looked up before it is assigned: m[string(b)] does not
+// allocate, the assignment does, and nearly every record's cookie is
+// already there.
+func (seg *segmentInfo) addClient(id []byte) {
+	if !seg.clients[string(id)] {
+		seg.clients[string(id)] = true
+	}
+}
+
+// addClients adds the cookie of every record in frames — encoded
+// records back to back, a write buffer that has just been spilled into
+// this segment — to the segment's exact client set.
+func (seg *segmentInfo) addClients(frames []byte) error {
+	var fr wire.ProbeFrame
+	for len(frames) > 0 {
+		n, err := fr.Parse(frames)
+		if err != nil {
+			return fmt.Errorf("probestore: segment %d: spilled buffer: %w", seg.id, err)
+		}
+		seg.addClient(fr.ClientID)
+		frames = frames[n:]
+	}
+	return nil
 }
 
 // segmentPath returns the file path of segment id under dir.
@@ -103,15 +151,15 @@ func (s *Store) recover() error {
 	for i, id := range ids {
 		last := i == len(ids)-1
 		// A writable store may append to the last segment, which needs
-		// the exact client set and index only a scan provides (and a
-		// possible torn-tail repair); any other segment is sealed and a
-		// trusted sidecar replaces its scan.
+		// the exact client set only a scan provides (and a possible
+		// torn-tail repair); any other segment is sealed and a trusted
+		// sidecar replaces its scan.
 		if seg, ok := s.loadSidecar(id); ok && !(last && !s.cfg.readOnly && seg.bytes < s.cfg.maxSegmentBytes) {
 			s.segments = append(s.segments, seg)
 			s.persisted += uint64(seg.records)
 			continue
 		}
-		seg, refs, torn, err := scanSegment(s.dir, id)
+		seg, torn, err := scanSegment(s.dir, id)
 		if err != nil {
 			if s.cfg.readOnly && errors.Is(err, fs.ErrNotExist) {
 				// A live writer's retention evicted the file between
@@ -146,24 +194,13 @@ func (s *Store) recover() error {
 			}
 			continue
 		}
-		// The scan's exact client set enables precise history skips; the
-		// refs themselves are kept only where appends will extend them
-		// (the reopened tail) — elsewhere the index is rebuilt lazily if
-		// a query ever needs it, keeping recovery memory proportional to
-		// cookies, not records.
-		seg.clients = make(map[string]bool, len(refs))
-		for _, r := range refs {
-			seg.clients[r.client] = true
-		}
-		if !s.cfg.readOnly && last && seg.bytes < s.cfg.maxSegmentBytes {
-			seg.index = make(map[string][]recordRef, len(seg.clients))
-			for _, r := range refs {
-				seg.index[r.client] = append(seg.index[r.client], recordRef{off: r.off, n: int32(r.n)})
-			}
-		} else if !s.cfg.readOnly {
-			// Sealed but sidecar-less (an older store layout, or a
-			// crash between seal and sidecar write): backfill the
-			// sidecar so the next Open skips this scan.
+		// The scan leaves the exact client set and nothing per record: a
+		// reopened tail keeps appending to the set, a read-only store
+		// skips precisely with it, and a sealed but sidecar-less segment
+		// (an older store layout, or a crash between seal and sidecar
+		// write) has its sidecar backfilled from it so the next Open
+		// skips this scan.
+		if !s.cfg.readOnly && !(last && seg.bytes < s.cfg.maxSegmentBytes) {
 			if err := s.writeSidecarLocked(seg); err != nil {
 				s.noteErrLocked(err) // Open has not published s yet
 			}
@@ -206,72 +243,230 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// scanRef is one record located during a segment scan.
-type scanRef struct {
-	client string
-	off    int64
-	n      int
-}
-
-// walkSegment streams one segment file's complete records through fn
-// (with each frame's offset and length), returning the valid extent
-// (header plus complete records) and the count of torn trailing bytes
-// (0 when the file ends on a record boundary). A tear — at the header
-// or at a record — ends the walk silently; corruption that is not a
-// clean tear, and any error from fn, aborts with that error. Recovery,
-// Replay and the lazy index builder all walk segments through here, so
-// their notions of a segment's valid extent cannot diverge.
-func walkSegment(path string, id uint64, fn func(rec *wire.ProbeRecord, off int64, n int) error) (valid, torn int64, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("probestore: read segment %d: %w", id, err)
-	}
-	if len(data) == 0 {
-		return 0, 0, nil
-	}
-	hdr, err := wire.CheckSegmentHeader(data)
-	if err != nil {
-		if errors.Is(err, wire.ErrTornRecord) {
-			// Crash while writing the 3-byte header itself: everything
-			// in the file is torn.
-			return 0, int64(len(data)), nil
+// walkSegment streams the complete records of one segment's bytes
+// through fn: data is the file's content from offset base on, starting
+// at the segment header when base is 0 and at a record boundary
+// otherwise. fn gets each record as a frame that is reused for the
+// next — it aliases data and must be copied out of, not kept — with the
+// frame's file offset and length. The walk returns the valid extent as
+// a file offset (header plus complete records) and the count of torn
+// trailing bytes (0 when data ends on a record boundary). A tear — at
+// the header or at a record — ends the walk silently; corruption that
+// is not a clean tear, and any error from fn, aborts with that error.
+// Recovery, Replay and the index builder all walk segments through
+// here, so their notions of a segment's valid extent cannot diverge.
+func walkSegment(data []byte, base int64, id uint64, fn func(fr *wire.ProbeFrame, off int64, n int) error) (valid, torn int64, err error) {
+	off := 0
+	if base == 0 {
+		if len(data) == 0 {
+			return 0, 0, nil
 		}
-		return 0, 0, fmt.Errorf("probestore: segment %d: %w", id, err)
+		if off, err = wire.CheckSegmentHeader(data); err != nil {
+			if errors.Is(err, wire.ErrTornRecord) {
+				// Crash while writing the 3-byte header itself:
+				// everything in the file is torn.
+				return 0, int64(len(data)), nil
+			}
+			return 0, 0, fmt.Errorf("probestore: segment %d: %w", id, err)
+		}
 	}
-	off := int64(hdr)
-	for off < int64(len(data)) {
-		rec, n, err := wire.DecodeProbeRecord(data[off:])
+	var fr wire.ProbeFrame
+	for off < len(data) {
+		n, err := fr.Parse(data[off:])
 		if err != nil {
 			if errors.Is(err, wire.ErrTornRecord) {
 				break
 			}
-			return 0, 0, fmt.Errorf("probestore: segment %d at offset %d: %w", id, off, err)
+			return 0, 0, fmt.Errorf("probestore: segment %d at offset %d: %w", id, base+int64(off), err)
 		}
-		if err := fn(rec, off, n); err != nil {
+		if err := fn(&fr, base+int64(off), n); err != nil {
 			return 0, 0, err
 		}
-		off += int64(n)
+		off += n
 	}
-	return off, int64(len(data)) - off, nil
+	return base + int64(off), int64(len(data) - off), nil
+}
+
+// walkSegmentFile is walkSegment over the whole of one segment file.
+func walkSegmentFile(path string, id uint64, fn func(fr *wire.ProbeFrame, off int64, n int) error) (valid, torn int64, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, 0, fmt.Errorf("probestore: read segment %d: %w", id, err)
+	}
+	return walkSegment(data, 0, id, fn)
 }
 
 // scanSegment walks one segment file for recovery, returning the
-// segment's valid extent, the record locations for the client index,
-// and the number of torn trailing bytes.
-func scanSegment(dir string, id uint64) (*segmentInfo, []scanRef, int64, error) {
-	seg := &segmentInfo{id: id}
-	var refs []scanRef
-	valid, torn, err := walkSegment(segmentPath(dir, id), id,
-		func(rec *wire.ProbeRecord, off int64, n int) error {
-			refs = append(refs, scanRef{client: rec.ClientID, off: off, n: n})
+// segment's valid extent, record count and exact client set, and the
+// number of torn trailing bytes.
+func scanSegment(dir string, id uint64) (*segmentInfo, int64, error) {
+	seg := &segmentInfo{id: id, clients: make(map[string]bool)}
+	valid, torn, err := walkSegmentFile(segmentPath(dir, id), id,
+		func(fr *wire.ProbeFrame, off int64, n int) error {
+			seg.addClient(fr.ClientID)
 			seg.records++
 			return nil
 		})
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	seg.bytes = valid
-	return seg, refs, torn, nil
+	return seg, torn, nil
+}
+
+// scanIndex reads one segment from offset from to its current end
+// through f, at the size fstat reports and in one read, and indexes the
+// complete records it finds: from is 0 for a first build and an
+// existing index's extent for an extension. Records are counted per
+// cookie first and filled into one flat array second, so the
+// allocations are a handful plus one string per distinct cookie,
+// however many records there are; hint sizes the per-record scratch.
+func scanIndex(f *os.File, id uint64, from int64, hint int) (postings map[string][]recordRef, extent int64, err error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("probestore: stat segment %d: %w", id, err)
+	}
+	if fi.Size() <= from {
+		return nil, from, nil
+	}
+	data := make([]byte, fi.Size()-from)
+	n, err := f.ReadAt(data, from)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, 0, fmt.Errorf("probestore: read segment %d: %w", id, err)
+	}
+	data = data[:n] // short only if the file shrank since the fstat
+	// Pass 1: validate every frame, number the cookies in order of first
+	// appearance, count each one's records and note each record's
+	// cookie number.
+	numbers := make(map[string]uint32)
+	var names []string
+	var counts []int
+	who := make([]uint32, 0, hint)
+	extent, _, err = walkSegment(data, from, id, func(fr *wire.ProbeFrame, off int64, n int) error {
+		c, ok := numbers[string(fr.ClientID)]
+		if !ok {
+			c = uint32(len(names))
+			name := string(fr.ClientID)
+			numbers[name] = c
+			names = append(names, name)
+			counts = append(counts, 0)
+		}
+		counts[c]++
+		who = append(who, c)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	// Carve the flat array; then pass 2 over the frame lengths alone
+	// (pass 1 validated them) drops each record into its cookie's part.
+	flat := make([]recordRef, len(who))
+	postings = make(map[string][]recordRef, len(names))
+	parts := make([][]recordRef, len(names))
+	start := 0
+	for c, n := range counts {
+		parts[c] = flat[start : start : start+n]
+		start += n
+	}
+	off := from
+	if from == 0 {
+		off = wire.SegmentHeaderSize
+	}
+	for _, c := range who {
+		body, n := binary.Uvarint(data[off-from:])
+		size := int64(n) + int64(body)
+		parts[c] = append(parts[c], recordRef{off: off, n: int32(size)})
+		off += size
+	}
+	for c, name := range names {
+		postings[name] = parts[c]
+	}
+	return postings, extent, nil
+}
+
+// detachIndexLocked drops seg's index, if it has one, and queues the
+// index's read handle for unlock to close. The caller holds s.mu.
+func (s *Store) detachIndexLocked(seg *segmentInfo) {
+	if seg.idx != nil {
+		s.detached = append(s.detached, seg.idx.f)
+		seg.idx = nil
+	}
+}
+
+// lockIndex returns seg's index once it covers the first want bytes of
+// the segment — the size the caller read under s.mu — building it if
+// the segment has none and extending it over the new tail if it stops
+// short. On a nil error it returns with s.mu HELD, so the caller reads
+// the postings (which extensions mutate) under the lock and unlocks;
+// the index is nil when the segment is gone, which is a skip. Scans run
+// without the lock and are installed only if nobody else changed the
+// index in the meantime; a loser rescans from the winner's extent.
+func (s *Store) lockIndex(seg *segmentInfo, want int64) (*segIndex, error) {
+	for {
+		s.mu.Lock()
+		idx := seg.idx
+		switch {
+		case s.closed:
+			s.mu.Unlock()
+			return nil, ErrClosed
+		case seg.missing:
+			return nil, nil
+		case idx != nil && idx.extent >= want:
+			return idx, nil
+		}
+		var f *os.File
+		var from int64
+		if idx != nil {
+			f, from = idx.f, idx.extent
+		}
+		hint := seg.records
+		s.mu.Unlock()
+
+		if idx == nil {
+			s.segmentOpens.Add(1)
+			var err error
+			if f, err = os.Open(segmentPath(s.dir, seg.id)); err != nil {
+				if !errors.Is(err, fs.ErrNotExist) {
+					return nil, fmt.Errorf("probestore: open segment %d: %w", seg.id, err)
+				}
+				// Evicted by a live writer's retention after we adopted
+				// it: cache the miss, so a long history costs one failed
+				// open, not one per query.
+				s.mu.Lock()
+				seg.missing = true
+				return nil, nil
+			}
+		}
+		postings, extent, err := scanIndex(f, seg.id, from, hint)
+		if err != nil && idx != nil && errors.Is(err, os.ErrClosed) {
+			continue // the index went away under the scan; look again
+		}
+
+		s.mu.Lock()
+		if err != nil || s.closed || seg.idx != idx || (idx != nil && idx.extent != from) {
+			// Failed, or somebody else got there first.
+			s.mu.Unlock()
+			if idx == nil {
+				f.Close() //nolint:errcheck // read-side close
+			}
+			if err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if idx == nil {
+			seg.idx = &segIndex{f: f, extent: extent, postings: postings}
+		} else {
+			for c, refs := range postings {
+				idx.postings[c] = append(idx.postings[c], refs...)
+			}
+			idx.extent = extent
+		}
+		// The file has been read to its end: even if that is short of
+		// want (a writer rolled a failed spill back under a read-only
+		// reader), there is nothing more to cover.
+		return seg.idx, nil
+	}
 }
 
 // Replay iterates every persisted probe in segment order (oldest
@@ -287,9 +482,9 @@ func (s *Store) Replay(fn func(sbserver.Probe) error) error {
 		}
 	}
 	for _, seg := range s.Segments() {
-		_, _, err := walkSegment(seg.Path, seg.ID,
-			func(rec *wire.ProbeRecord, off int64, n int) error {
-				return fn(recordProbe(rec))
+		_, _, err := walkSegmentFile(seg.Path, seg.ID,
+			func(fr *wire.ProbeFrame, off int64, n int) error {
+				return fn(frameProbe(fr))
 			})
 		if errors.Is(err, fs.ErrNotExist) {
 			continue // evicted by retention between snapshot and read
@@ -301,13 +496,17 @@ func (s *Store) Replay(fn func(sbserver.Probe) error) error {
 	return nil
 }
 
-// recordProbe converts a decoded wire record back into the in-memory
-// probe shape the analysis machinery consumes. The round trip through
-// UnixNano drops the monotonic clock reading; wall time is preserved.
-func recordProbe(rec *wire.ProbeRecord) sbserver.Probe {
-	return sbserver.Probe{
-		Time:     time.Unix(0, rec.UnixNano),
-		ClientID: rec.ClientID,
-		Prefixes: rec.Prefixes,
+// frameProbe copies a parsed frame into the in-memory probe shape the
+// analysis machinery consumes; the probe shares nothing with the bytes
+// the frame aliases. The round trip through UnixNano drops the
+// monotonic clock reading; wall time is preserved.
+func frameProbe(fr *wire.ProbeFrame) sbserver.Probe {
+	p := sbserver.Probe{
+		Time:     time.Unix(0, fr.UnixNano),
+		ClientID: string(fr.ClientID),
 	}
+	if np := fr.NumPrefixes(); np > 0 {
+		p.Prefixes = fr.AppendPrefixes(make([]hashx.Prefix, 0, np))
+	}
+	return p
 }

@@ -59,8 +59,12 @@ func clientFilter(clients map[string]bool) (*bloom.Filter, error) {
 // file, written to a temporary name and renamed so a reader never
 // observes a half-written sidecar under the final name (a torn sidecar
 // would merely cost that reader a scan, but the rename makes the happy
-// path the common one). The segment's filter is set as a side effect.
-// The caller holds s.mu, or is the single-threaded recovery path.
+// path the common one). Once the file is in place the segment's filter
+// is set and the exact client set it was built from is released: a
+// sealed segment is (id, bytes, records, filter) whether this process
+// wrote it or adopted it. A failed write keeps the set, which then goes
+// on answering for the segment. The caller holds s.mu, or is the
+// single-threaded recovery path.
 func (s *Store) writeSidecarLocked(seg *segmentInfo) error {
 	f, err := clientFilter(seg.clients)
 	if err != nil {
@@ -100,6 +104,7 @@ func (s *Store) writeSidecarLocked(seg *segmentInfo) error {
 		return fmt.Errorf("probestore: sidecar %d: %w", seg.id, err)
 	}
 	seg.filter = f
+	seg.clients = nil
 	return nil
 }
 

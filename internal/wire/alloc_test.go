@@ -101,3 +101,37 @@ func TestWireDecodeRoundTripAfterScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeRecordHotPathAllocs is the runtime half of the hotalloc gate
+// on the probe-record codec: the store encodes every probe it observes
+// with AppendProbeRecord and every segment scan goes through
+// ProbeFrame.Parse, so neither may allocate — the encoder into a buffer
+// that has room for the frame, the parser ever.
+func TestProbeRecordHotPathAllocs(t *testing.T) {
+	rec := ProbeRecord{UnixNano: 1457000000123456789, ClientID: "cookie-1",
+		Prefixes: []hashx.Prefix{0xe70ee6d1, 1, 2}}
+	buf := make([]byte, 0, 256)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		var err error
+		if buf, err = AppendProbeRecord(buf[:0], &rec); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("AppendProbeRecord: %v allocs/op, want 0", allocs)
+	}
+
+	var fr ProbeFrame
+	prefixes := make([]hashx.Prefix, 0, len(rec.Prefixes))
+	if allocs := testing.AllocsPerRun(1000, func() {
+		n, err := fr.Parse(buf)
+		if err != nil || n != len(buf) {
+			t.Fatalf("Parse = %d, %v", n, err)
+		}
+		prefixes = fr.AppendPrefixes(prefixes[:0])
+	}); allocs != 0 {
+		t.Errorf("ProbeFrame.Parse + AppendPrefixes: %v allocs/op, want 0", allocs)
+	}
+	if fr.UnixNano != rec.UnixNano || string(fr.ClientID) != rec.ClientID || len(prefixes) != len(rec.Prefixes) {
+		t.Errorf("frame (%d, %q, %v), want %+v", fr.UnixNano, fr.ClientID, prefixes, rec)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"sbprivacy/internal/hashx"
 )
@@ -53,78 +54,158 @@ type ProbeRecord struct {
 // AppendProbeRecord appends the length-prefixed encoding of m to dst and
 // returns the extended slice. It fails if the client id or prefix count
 // exceeds the protocol limits (the same bounds the decoder enforces).
+// The body is sized first and encoded straight into dst, so a dst with
+// room for the frame costs no allocation.
+//
+//sbcheck:hotpath
 func AppendProbeRecord(dst []byte, m *ProbeRecord) ([]byte, error) {
 	if len(m.ClientID) > maxStringLen {
-		return dst, fmt.Errorf("%w: client id = %d > %d bytes", ErrTooLarge, len(m.ClientID), maxStringLen)
+		return dst, errProbeClientIDTooLarge(len(m.ClientID))
 	}
 	if len(m.Prefixes) > maxPrefixesPerReq {
-		return dst, fmt.Errorf("%w: prefix count = %d > %d", ErrTooLarge, len(m.Prefixes), maxPrefixesPerReq)
+		return dst, errProbePrefixCountTooLarge(len(m.Prefixes))
 	}
-	body := make([]byte, 0, 16+len(m.ClientID)+hashx.PrefixSize*len(m.Prefixes))
-	body = binary.AppendVarint(body, m.UnixNano)
-	body = binary.AppendUvarint(body, uint64(len(m.ClientID)))
-	body = append(body, m.ClientID...)
-	body = binary.AppendUvarint(body, uint64(len(m.Prefixes)))
+	// Varint zigzag-codes its argument; its length is that of the coded
+	// value.
+	zigzag := uint64(m.UnixNano) << 1
+	if m.UnixNano < 0 {
+		zigzag = ^zigzag
+	}
+	body := uvarintLen(zigzag) +
+		uvarintLen(uint64(len(m.ClientID))) + len(m.ClientID) +
+		uvarintLen(uint64(len(m.Prefixes))) + hashx.PrefixSize*len(m.Prefixes)
+	dst = binary.AppendUvarint(dst, uint64(body))
+	dst = binary.AppendVarint(dst, m.UnixNano)
+	dst = binary.AppendUvarint(dst, uint64(len(m.ClientID)))
+	dst = append(dst, m.ClientID...)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Prefixes)))
 	for _, p := range m.Prefixes {
-		b := p.Bytes()
-		body = append(body, b[:]...)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(p))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	return append(dst, body...), nil
+	return dst, nil
 }
 
-// DecodeProbeRecord parses one length-prefixed probe record from the
-// front of b, returning the record and the number of bytes it consumed.
-// A frame that extends past len(b) returns ErrTornRecord (with consumed
-// = 0), which callers use to find the truncation point of an
-// interrupted segment write. Any other malformed content returns a
-// non-nil error describing the corruption.
-func DecodeProbeRecord(b []byte) (*ProbeRecord, int, error) {
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
+}
+
+// The encoder's and the frame parser's formatted errors live in these
+// small functions so the marked hot paths carry no fmt call; each runs
+// once per rejected record.
+
+func errProbeClientIDTooLarge(n int) error {
+	return fmt.Errorf("%w: client id = %d > %d bytes", ErrTooLarge, n, maxStringLen)
+}
+
+func errProbePrefixCountTooLarge(n int) error {
+	return fmt.Errorf("%w: prefix count = %d > %d", ErrTooLarge, n, maxPrefixesPerReq)
+}
+
+func errProbeBodyTooLarge(n uint64) error {
+	return fmt.Errorf("%w: probe record body = %d > %d bytes", ErrTooLarge, n, MaxProbeRecordBytes)
+}
+
+// Corruption the frame parser reports; none is a torn tail.
+var (
+	errProbeLenOverflow = errors.New("wire: probe record length overflows uvarint")
+	errProbeTimestamp   = errors.New("wire: probe record: bad timestamp varint")
+	errProbeClientID    = errors.New("wire: probe record: bad client id")
+	errProbePrefixBlock = errors.New("wire: probe record: bad prefix block")
+)
+
+// ProbeFrame is a validated view of one encoded probe record: the
+// fields of a ProbeRecord with the client id and the prefixes still in
+// their wire form, aliasing the bytes Parse was given. Nothing is
+// copied and nothing is allocated, which is what lets a segment scan
+// that only needs the cookie (recovery, the client index) or that
+// filters before it materialises (a history read) run at memory speed.
+// A frame is valid until the next Parse into it and only as long as the
+// parsed bytes are.
+type ProbeFrame struct {
+	// UnixNano is the probe's arrival time in Unix nanoseconds.
+	UnixNano int64
+	// ClientID is the cookie's bytes inside the parsed input.
+	ClientID []byte
+	// prefixes is the block of 4-byte big-endian prefixes inside the
+	// parsed input.
+	prefixes []byte
+}
+
+// Parse validates the length-prefixed probe record at the front of b
+// and points f at its fields, returning the number of bytes the frame
+// occupies. A frame that extends past len(b) returns ErrTornRecord
+// (with consumed = 0), which callers use to find the truncation point
+// of an interrupted segment write. Any other malformed content returns
+// a non-nil error describing the corruption. It is the one validation
+// of the record format: DecodeProbeRecord is a copy of what it accepts.
+//
+//sbcheck:hotpath
+func (f *ProbeFrame) Parse(b []byte) (int, error) {
 	bodyLen, n := binary.Uvarint(b)
 	if n == 0 {
-		return nil, 0, ErrTornRecord
+		return 0, ErrTornRecord
 	}
 	if n < 0 {
-		return nil, 0, fmt.Errorf("wire: probe record length overflows uvarint")
+		return 0, errProbeLenOverflow
 	}
 	if bodyLen > MaxProbeRecordBytes {
-		return nil, 0, fmt.Errorf("%w: probe record body = %d > %d bytes", ErrTooLarge, bodyLen, MaxProbeRecordBytes)
+		return 0, errProbeBodyTooLarge(bodyLen)
 	}
 	if uint64(len(b)-n) < bodyLen {
-		return nil, 0, ErrTornRecord
+		return 0, ErrTornRecord
 	}
 	body := b[n : n+int(bodyLen)]
 	consumed := n + int(bodyLen)
 
-	m := &ProbeRecord{}
 	nano, vn := binary.Varint(body)
 	if vn <= 0 {
-		return nil, 0, fmt.Errorf("wire: probe record: bad timestamp varint")
+		return 0, errProbeTimestamp
 	}
-	m.UnixNano = nano
 	body = body[vn:]
 
 	idLen, vn := binary.Uvarint(body)
 	if vn <= 0 || idLen > maxStringLen || uint64(len(body)-vn) < idLen {
-		return nil, 0, fmt.Errorf("wire: probe record: bad client id")
+		return 0, errProbeClientID
 	}
-	m.ClientID = string(body[vn : vn+int(idLen)])
+	id := body[vn : vn+int(idLen)]
 	body = body[vn+int(idLen):]
 
 	np, vn := binary.Uvarint(body)
 	if vn <= 0 || np > maxPrefixesPerReq || uint64(len(body)-vn) != np*hashx.PrefixSize {
-		return nil, 0, fmt.Errorf("wire: probe record: bad prefix block")
+		return 0, errProbePrefixBlock
 	}
-	body = body[vn:]
-	if np > 0 {
-		m.Prefixes = make([]hashx.Prefix, np)
-		for i := range m.Prefixes {
-			p, err := hashx.PrefixFromBytes(body[i*hashx.PrefixSize : (i+1)*hashx.PrefixSize])
-			if err != nil {
-				return nil, 0, fmt.Errorf("wire: probe record: %w", err)
-			}
-			m.Prefixes[i] = p
-		}
+	f.UnixNano, f.ClientID, f.prefixes = nano, id, body[vn:]
+	return consumed, nil
+}
+
+// NumPrefixes returns how many prefixes the record carries.
+func (f *ProbeFrame) NumPrefixes() int { return len(f.prefixes) / hashx.PrefixSize }
+
+// AppendPrefixes appends the record's prefixes to dst and returns the
+// extended slice.
+//
+//sbcheck:hotpath
+func (f *ProbeFrame) AppendPrefixes(dst []hashx.Prefix) []hashx.Prefix {
+	for b := f.prefixes; len(b) > 0; b = b[hashx.PrefixSize:] {
+		dst = append(dst, hashx.Prefix(binary.BigEndian.Uint32(b)))
+	}
+	return dst
+}
+
+// DecodeProbeRecord parses one length-prefixed probe record from the
+// front of b, returning the record and the number of bytes it consumed.
+// Validation, errors and the consumed count are ProbeFrame.Parse's; the
+// record is a copy of the frame that shares nothing with b.
+func DecodeProbeRecord(b []byte) (*ProbeRecord, int, error) {
+	var f ProbeFrame
+	consumed, err := f.Parse(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	m := &ProbeRecord{UnixNano: f.UnixNano, ClientID: string(f.ClientID)}
+	if np := f.NumPrefixes(); np > 0 {
+		m.Prefixes = f.AppendPrefixes(make([]hashx.Prefix, 0, np))
 	}
 	return m, consumed, nil
 }
