@@ -108,12 +108,13 @@ streambench-smoke:
 		-bench-out "$$out" && \
 	$(GO) run ./tools/doccheck -bench "$$out"
 
-# pipelinebench-smoke runs the streaming hot-loop benchmark (captured
-# campaign feed through Pipeline.Observe, ns and allocs per probe) for
-# one iteration, so it cannot rot between the PRs that read it; CI's
-# bench-smoke job calls this.
+# pipelinebench-smoke runs the streaming pipeline's two benchmarks (a
+# captured campaign feed through Pipeline.Observe, ns and allocs per
+# probe; Snapshot over a resident 28-day window, ns and allocs per
+# snapshot) for one iteration each, so they cannot rot between the PRs
+# that read them; CI's bench-smoke job calls this.
 pipelinebench-smoke:
-	$(GO) test -run '^$$' -bench PipelineObserve -benchtime 1x ./internal/stream
+	$(GO) test -run '^$$' -bench 'PipelineObserve|PipelineSnapshot' -benchmem -benchtime 1x ./internal/stream
 
 # storebench-smoke runs the probe store's two hot-loop benchmarks (the
 # write path every probe pays, and a client-history query over bloom

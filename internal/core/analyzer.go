@@ -39,7 +39,7 @@ func NewAnalyzer(x *Index) *Analyzer {
 // live in ClientTally — the scoring core shared with the streaming
 // reident stage of internal/stream.
 func (a *Analyzer) Observe(p sbserver.Probe) {
-	r := a.x.Reidentify(p.Prefixes)
+	s := a.x.Score(p.Prefixes)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	c := a.clients[p.ClientID]
@@ -47,7 +47,7 @@ func (a *Analyzer) Observe(p sbserver.Probe) {
 		c = NewClientTally()
 		a.clients[p.ClientID] = c
 	}
-	c.Observe(r, len(p.Prefixes))
+	c.Observe(s, len(p.Prefixes))
 }
 
 // NameCount is a name with an occurrence count, sorted by descending
@@ -92,7 +92,7 @@ type Report struct {
 func (a *Analyzer) Report() *Report {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return BuildClientReport(a.clients)
+	return BuildClientReport(a.x, a.clients)
 }
 
 // String renders the report as the provider's per-client dossier — the

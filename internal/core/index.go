@@ -14,9 +14,18 @@
 //   - the Tracker, which consumes the server's probe log and emits
 //     tracking events;
 //   - the temporal-correlation engine of Section 6.3.
+//
+// Scoring runs on numbers. An Index numbers every URL it holds and
+// every registrable domain, and Index.Score answers a probe with a
+// Score: how many URLs explain it, and the id of the exact URL or the
+// common domain. The tallies (ClientTally, DayTally) count those ids;
+// names are looked up only when a report is built from a tally, through
+// the index that assigned them. Reidentify gives the same answer
+// spelled out as names, for callers that read the candidate list.
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"sbprivacy/internal/hashx"
@@ -29,12 +38,22 @@ import (
 // indexing capabilities, we safely assume that they maintain the database
 // of all webpages and URLs on the web").
 type Index struct {
+	// urls[id] is URL number id, numbered in Add order. A URL added
+	// twice holds two ids; both explain exactly the same probes, so
+	// neither is ever an exact hit on its own.
 	urls []string
-	// domains[id] is the registrable domain of urls[id] (a substring of
-	// it), kept so re-identification never re-derives it per probe.
+	// prefixes[id] is urls[id]'s distinct decomposition prefixes: a
+	// handful per URL, so a membership test is a short scan.
+	prefixes [][]hashx.Prefix
+	// domainOf[id] is the number of urls[id]'s registrable domain.
+	domainOf []int32
+	// domains[n] is registrable domain number n (a substring of the
+	// first URL that had it), numbered in order of first appearance:
+	// one number per name, however many URLs share it.
 	domains   []string
-	decomps   [][]string
-	prefixSet []map[hashx.Prefix]struct{}
+	domainIDs map[string]int32
+	// byDomain[n] lists the URL ids under domain number n.
+	byDomain [][]int32
 	// urlsByPrefix maps a prefix to the URLs having a decomposition with
 	// that prefix.
 	urlsByPrefix map[hashx.Prefix][]int32
@@ -43,18 +62,16 @@ type Index struct {
 	// one prefix.
 	exprCount map[hashx.Prefix]int32
 	exprSeen  map[string]struct{}
-	// byDomain groups URL indices by registrable domain.
-	byDomain map[string][]int32
 }
 
 // NewIndex builds an index over canonical URL expressions
 // ("host/path?query", as produced by urlx or the corpus generator).
 func NewIndex(urls []string) *Index {
 	x := &Index{
+		domainIDs:    make(map[string]int32),
 		urlsByPrefix: make(map[hashx.Prefix][]int32),
 		exprCount:    make(map[hashx.Prefix]int32),
 		exprSeen:     make(map[string]struct{}),
-		byDomain:     make(map[string][]int32),
 	}
 	for _, u := range urls {
 		x.Add(u)
@@ -67,13 +84,12 @@ func (x *Index) Add(urlExpr string) {
 	id := int32(len(x.urls))
 	decomps := urlx.FromExpression(urlExpr).Decompositions()
 	x.urls = append(x.urls, urlExpr)
-	x.decomps = append(x.decomps, decomps)
 
-	pset := make(map[hashx.Prefix]struct{}, len(decomps))
+	pset := make([]hashx.Prefix, 0, len(decomps))
 	for _, d := range decomps {
 		p := hashx.SumPrefix(d)
-		if _, dup := pset[p]; !dup {
-			pset[p] = struct{}{}
+		if !slices.Contains(pset, p) {
+			pset = append(pset, p)
 			x.urlsByPrefix[p] = append(x.urlsByPrefix[p], id)
 		}
 		if _, seen := x.exprSeen[d]; !seen {
@@ -81,11 +97,18 @@ func (x *Index) Add(urlExpr string) {
 			x.exprCount[p]++
 		}
 	}
-	x.prefixSet = append(x.prefixSet, pset)
+	x.prefixes = append(x.prefixes, pset)
 
 	dom := urlx.RegisteredDomain(urlx.HostOf(urlExpr))
-	x.domains = append(x.domains, dom)
-	x.byDomain[dom] = append(x.byDomain[dom], id)
+	n, ok := x.domainIDs[dom]
+	if !ok {
+		n = int32(len(x.domains))
+		x.domainIDs[dom] = n
+		x.domains = append(x.domains, dom)
+		x.byDomain = append(x.byDomain, nil)
+	}
+	x.domainOf = append(x.domainOf, n)
+	x.byDomain[n] = append(x.byDomain[n], id)
 }
 
 // Len returns the number of indexed URLs.
@@ -96,7 +119,10 @@ func (x *Index) URLs() []string { return x.urls }
 
 // DomainURLs returns the URLs indexed under a registrable domain.
 func (x *Index) DomainURLs(domain string) []string {
-	ids := x.byDomain[domain]
+	var ids []int32
+	if n, ok := x.domainIDs[domain]; ok {
+		ids = x.byDomain[n]
+	}
 	out := make([]string, len(ids))
 	for i, id := range ids {
 		out[i] = x.urls[id]
@@ -106,17 +132,10 @@ func (x *Index) DomainURLs(domain string) []string {
 
 // Domains returns all indexed registrable domains, sorted.
 func (x *Index) Domains() []string {
-	out := make([]string, 0, len(x.byDomain))
-	for d := range x.byDomain {
-		out = append(out, d)
-	}
+	out := append(make([]string, 0, len(x.domains)), x.domains...)
 	sort.Strings(out)
 	return out
 }
-
-// DecompositionsOf returns the cached decompositions of an indexed URL
-// id, or nil for foreign URLs.
-func (x *Index) decompositionsOf(id int32) []string { return x.decomps[id] }
 
 // KAnonymity returns the number of distinct indexed decomposition
 // expressions whose digest shares the prefix — the paper's privacy

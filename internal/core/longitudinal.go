@@ -88,7 +88,7 @@ func NewLongitudinal(x *Index, cfg LongitudinalConfig) *Longitudinal {
 // classification and tally live in DayTally — the scoring core shared
 // with the streaming linkage stage of internal/stream.
 func (l *Longitudinal) Observe(p sbserver.Probe) {
-	r := l.x.Reidentify(p.Prefixes)
+	s := l.x.Score(p.Prefixes)
 	day := UnixDay(p.Time)
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -102,7 +102,7 @@ func (l *Longitudinal) Observe(p sbserver.Probe) {
 		agg = NewDayTally()
 		cookies[p.ClientID] = agg
 	}
-	agg.Observe(r)
+	agg.Observe(s)
 }
 
 // CookieDay is one cookie's re-identified activity within one day.
@@ -191,7 +191,7 @@ type LongitudinalReport struct {
 func (l *Longitudinal) Report() *LongitudinalReport {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return BuildLongitudinalReport(l.days, l.cfg)
+	return BuildLongitudinalReport(l.x, l.days, l.cfg)
 }
 
 // buildChains follows the accepted links transitively: each chain is

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"sbprivacy/internal/hashx"
 	"sbprivacy/internal/urlx"
 )
@@ -23,56 +25,117 @@ type Reidentification struct {
 	CommonDomain string
 }
 
+// Score is Reidentify's conclusion as numbers the index assigned: what
+// the tallies count. It holds no names and no pointers, and computing
+// it allocates nothing. The ids mean something only to the index that
+// made the Score, which is the index a report built from it must use.
+type Score struct {
+	// n is the number of candidate URLs (len(Candidates)).
+	n int32
+	// url is the exact URL's id + 1 when n == 1, else 0.
+	url int32
+	// domain is the common registrable domain's id + 1, else 0. An
+	// exact hit always has one. Otherwise the empty domain (a URL with
+	// no host) counts as none, as it does in CommonDomain.
+	domain int32
+}
+
+// Score re-identifies prefixes observed together, as Reidentify does,
+// and returns the conclusion as ids instead of names.
+//
+//sbcheck:hotpath
+func (x *Index) Score(prefixes []hashx.Prefix) Score {
+	var buf [16]int32 // candidate ids; on the stack unless a probe has more
+	ids := x.candidates(prefixes, buf[:0])
+	s := Score{n: int32(len(ids))}
+	if len(ids) == 1 {
+		s.url = ids[0] + 1
+	}
+	if d := x.commonDomain(ids); d >= 0 && (len(ids) == 1 || x.domains[d] != "") {
+		s.domain = d + 1
+	}
+	return s
+}
+
 // Reidentify computes the candidate set for prefixes observed together.
 // With no prefixes, or prefixes unknown to the index, the candidate set
 // is empty.
 func (x *Index) Reidentify(prefixes []hashx.Prefix) Reidentification {
 	r := Reidentification{Prefixes: append([]hashx.Prefix(nil), prefixes...)}
+	var buf [16]int32
+	x.conclude(&r, x.candidates(prefixes, buf[:0]))
+	return r
+}
+
+// seed returns the URL list of the rarest of prefixes: every candidate
+// is on it. Empty when prefixes is.
+func (x *Index) seed(prefixes []hashx.Prefix) []int32 {
 	if len(prefixes) == 0 {
-		return r
+		return nil
 	}
-	// Start from the rarest prefix's URL list and filter.
 	seed := x.urlsByPrefix[prefixes[0]]
 	for _, p := range prefixes[1:] {
 		if cand := x.urlsByPrefix[p]; len(cand) < len(seed) {
 			seed = cand
 		}
 	}
-	var buf [16]int32 // candidate ids; on the stack unless a probe has more
-	ids := buf[:0]
-	for _, id := range seed {
-		pset := x.prefixSet[id]
-		all := true
-		for _, p := range prefixes {
-			if _, ok := pset[p]; !ok {
-				all = false
-				break
-			}
-		}
-		if all {
-			ids = append(ids, id)
+	return seed
+}
+
+// candidates appends to buf, in index order, the ids of the URLs whose
+// decompositions produce every one of prefixes: the ambiguity set that
+// Score and Reidentify both conclude from.
+//
+//sbcheck:hotpath
+func (x *Index) candidates(prefixes []hashx.Prefix, buf []int32) []int32 {
+	for _, id := range x.seed(prefixes) {
+		if containsAll(x.prefixes[id], prefixes) {
+			buf = append(buf, id)
 		}
 	}
-	x.conclude(&r, ids)
-	return r
+	return buf
+}
+
+// containsAll reports whether every element of want is in have.
+func containsAll(have, want []hashx.Prefix) bool {
+	for _, p := range want {
+		if !slices.Contains(have, p) {
+			return false
+		}
+	}
+	return true
+}
+
+// commonDomain returns the number of the registrable domain every URL
+// in ids shares, or -1 when they disagree or ids is empty.
+func (x *Index) commonDomain(ids []int32) int32 {
+	if len(ids) == 0 {
+		return -1
+	}
+	d := x.domainOf[ids[0]]
+	for _, id := range ids[1:] {
+		if x.domainOf[id] != d {
+			return -1
+		}
+	}
+	return d
 }
 
 // conclude fills in r from the ids of the candidate URLs, in index
 // order. The candidate list is allocated once at its final size, and
-// the domains come from the index, which derived each when its URL was
+// the domains come from the index, which numbered each when its URL was
 // added: nothing is parsed and nothing grows per probe.
 func (x *Index) conclude(r *Reidentification, ids []int32) {
 	if len(ids) == 0 {
 		return
 	}
 	r.Candidates = make([]string, len(ids))
-	r.Exact = len(ids) == 1
-	r.CommonDomain = x.domains[ids[0]]
 	for i, id := range ids {
 		r.Candidates[i] = x.urls[id]
-		if x.domains[id] != r.CommonDomain {
-			r.CommonDomain = "" // "no common domain", and it stays: "" matches no domain but itself
-		}
+	}
+	r.Exact = len(ids) == 1
+	if d := x.commonDomain(ids); d >= 0 {
+		r.CommonDomain = x.domains[d]
 	}
 }
 
@@ -92,17 +155,11 @@ func (x *Index) ReidentifyWithDatabase(prefixes []hashx.Prefix, database map[has
 	for _, p := range prefixes {
 		observed[p] = struct{}{}
 	}
-	seed := x.urlsByPrefix[prefixes[0]]
-	for _, p := range prefixes[1:] {
-		if cand := x.urlsByPrefix[p]; len(cand) < len(seed) {
-			seed = cand
-		}
-	}
 	var ids []int32
-	for _, id := range seed {
+	for _, id := range x.seed(prefixes) {
 		hits := 0
 		compatible := true
-		for p := range x.prefixSet[id] {
+		for _, p := range x.prefixes[id] {
 			if _, inDB := database[p]; !inDB {
 				continue
 			}

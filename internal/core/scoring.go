@@ -17,36 +17,49 @@ import (
 // over whatever is resident — which is what makes a streaming snapshot
 // deep-equal a batch run restricted to the same window.
 
-// counts is a multiset of names — the exact URLs or the domains of a
-// tally — kept sorted by name. A probe is a rare event (a client sends
-// one only on a local prefix hit), so a tally sees a handful of names,
-// and a streaming stage holds one tally per (day, cookie): a slice is a
-// fraction of a map's memory there, which is what the replay allocates
-// per bucket and the collector walks on every cycle. Sorted order makes
-// the intersection of two profiles a merge and the tallies comparable
-// with reflect.DeepEqual; the price is an insert that shifts the tail.
-type counts []NameCount
+// idCount is one entry of a counts multiset: an index id (a URL's or a
+// registrable domain's) and how many probes concluded it.
+type idCount struct{ id, n int32 }
 
-// add adds n to name's count.
-func (c *counts) add(name string, n int) {
-	i, found := slices.BinarySearchFunc(*c, name, func(e NameCount, name string) int {
-		return strings.Compare(e.Name, name)
-	})
-	if found {
-		(*c)[i].Count += n
+// counts is a multiset of index ids — the exact URLs or the domains of
+// a tally — kept sorted by id. A probe is a rare event (a client sends
+// one only on a local prefix hit), so a tally sees a handful of ids,
+// and a streaming stage holds one tally per (day, cookie): a slice is a
+// fraction of a map's memory there, and holding no pointers it is
+// nothing the collector has to scan. Sorted order makes the
+// intersection of two profiles a merge and the tallies comparable with
+// reflect.DeepEqual; the price is an insert that shifts the tail.
+type counts []idCount
+
+// add adds n to id's count.
+//
+//sbcheck:hotpath
+func (c *counts) add(id, n int32) {
+	// Hand-rolled: through slices.BinarySearchFunc's comparator call,
+	// BenchmarkPipelineObserve ran 2–12 % slower.
+	lo, hi := 0, len(*c)
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); (*c)[h].id < id {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	if lo < len(*c) && (*c)[lo].id == id {
+		(*c)[lo].n += n
 		return
 	}
-	*c = slices.Insert(*c, i, NameCount{Name: name, Count: n})
+	*c = slices.Insert(*c, lo, idCount{id, n})
 }
 
-// shared returns the number of names c and o have in common.
+// shared returns the number of ids c and o have in common.
 func (c counts) shared(o counts) int {
 	n := 0
 	for i, j := 0, 0; i < len(c) && j < len(o); {
-		switch d := strings.Compare(c[i].Name, o[j].Name); {
-		case d < 0:
+		switch {
+		case c[i].id < o[j].id:
 			i++
-		case d > 0:
+		case c[i].id > o[j].id:
 			j++
 		default:
 			n++
@@ -57,11 +70,22 @@ func (c counts) shared(o counts) int {
 	return n
 }
 
-// byCount returns the names as a report lists them: most counted
-// first, ties by name. nil when empty.
-func (c counts) byCount() []NameCount {
-	out := slices.Clone([]NameCount(c))
-	slices.SortStableFunc(out, func(a, b NameCount) int { return cmp.Compare(b.Count, a.Count) })
+// byCount returns the entries as a report lists them, each id resolved
+// through names: most counted first, ties by name. nil when empty.
+func (c counts) byCount(names []string) []NameCount {
+	if len(c) == 0 {
+		return nil
+	}
+	out := make([]NameCount, len(c))
+	for i, e := range c {
+		out[i] = NameCount{Name: names[e.id], Count: int(e.n)}
+	}
+	slices.SortFunc(out, func(a, b NameCount) int {
+		if d := cmp.Compare(b.Count, a.Count); d != 0 {
+			return d
+		}
+		return strings.Compare(a.Name, b.Name)
+	})
 	return out
 }
 
@@ -71,7 +95,9 @@ func (c counts) byCount() []NameCount {
 // reident stage so expired days can be evicted. Tallies are additive:
 // merging the per-day tallies of a window reproduces exactly the tally
 // a single batch pass over the window's probes would have built.
-// Not safe for concurrent use; callers hold their own lock.
+// A tally counts the ids of one index's Scores, and only that index
+// can render it. Not safe for concurrent use; callers hold their own
+// lock.
 type ClientTally struct {
 	probes    int
 	prefixes  int
@@ -86,18 +112,18 @@ func NewClientTally() *ClientTally {
 	return &ClientTally{}
 }
 
-// Observe files one probe's re-identification outcome: an exact URL, a
-// common registrable domain, an ambiguous candidate set, or nothing the
-// index explains. prefixes is the probe's prefix count.
-func (t *ClientTally) Observe(r Reidentification, prefixes int) {
+// Observe files one probe's Score: an exact URL, a common registrable
+// domain, an ambiguous candidate set, or nothing the index explains.
+// prefixes is the probe's prefix count.
+func (t *ClientTally) Observe(s Score, prefixes int) {
 	t.probes++
 	t.prefixes += prefixes
 	switch {
-	case r.Exact:
-		t.exact.add(r.Candidates[0], 1)
-	case r.CommonDomain != "":
-		t.domains.add(r.CommonDomain, 1)
-	case len(r.Candidates) > 0:
+	case s.url != 0:
+		t.exact.add(s.url-1, 1)
+	case s.domain != 0:
+		t.domains.add(s.domain-1, 1)
+	case s.n > 0:
 		t.ambiguous++
 	default:
 		t.unknown++
@@ -111,10 +137,10 @@ func (t *ClientTally) MergeFrom(o *ClientTally) {
 	t.probes += o.probes
 	t.prefixes += o.prefixes
 	for _, e := range o.exact {
-		t.exact.add(e.Name, e.Count)
+		t.exact.add(e.id, e.n)
 	}
 	for _, e := range o.domains {
-		t.domains.add(e.Name, e.Count)
+		t.domains.add(e.id, e.n)
 	}
 	t.ambiguous += o.ambiguous
 	t.unknown += o.unknown
@@ -125,14 +151,15 @@ func (t *ClientTally) MergeFrom(o *ClientTally) {
 // discarded.
 func (t *ClientTally) Probes() int { return t.probes }
 
-// Report renders the tally as the per-client report entry.
-func (t *ClientTally) Report(clientID string) ClientReport {
+// Report renders the tally as the per-client report entry, naming its
+// URLs and domains through x, the index whose Scores it counted.
+func (t *ClientTally) Report(x *Index, clientID string) ClientReport {
 	return ClientReport{
 		ClientID:  clientID,
 		Probes:    t.probes,
 		Prefixes:  t.prefixes,
-		ExactURLs: t.exact.byCount(),
-		Domains:   t.domains.byCount(),
+		ExactURLs: t.exact.byCount(x.urls),
+		Domains:   t.domains.byCount(x.domains),
 		Ambiguous: t.ambiguous,
 		Unknown:   t.unknown,
 	}
@@ -140,11 +167,12 @@ func (t *ClientTally) Report(clientID string) ClientReport {
 
 // BuildClientReport renders a cookie→tally map as the analyzer's
 // deterministic report: one entry per cookie, sorted by cookie. Both
-// the batch Analyzer and the streaming reident stage end on this.
-func BuildClientReport(clients map[string]*ClientTally) *Report {
+// the batch Analyzer and the streaming reident stage end on this; x is
+// the index whose Scores the tallies counted.
+func BuildClientReport(x *Index, clients map[string]*ClientTally) *Report {
 	rep := &Report{Clients: make([]ClientReport, 0, len(clients))}
 	for id, t := range clients {
-		rep.Clients = append(rep.Clients, t.Report(id))
+		rep.Clients = append(rep.Clients, t.Report(x, id))
 	}
 	sort.Slice(rep.Clients, func(i, j int) bool {
 		return rep.Clients[i].ClientID < rep.Clients[j].ClientID
@@ -154,8 +182,9 @@ func BuildClientReport(clients map[string]*ClientTally) *Report {
 
 // DayTally is one cookie's re-identified activity within one UTC
 // calendar day: the scoring core of Longitudinal, also the unit of
-// windowed state in the streaming linkage stage. Not safe for
-// concurrent use; callers hold their own lock.
+// windowed state in the streaming linkage stage. Like ClientTally it
+// counts one index's ids. Not safe for concurrent use; callers hold
+// their own lock.
 type DayTally struct {
 	probes     int
 	urls       counts
@@ -168,18 +197,18 @@ func NewDayTally() *DayTally {
 	return &DayTally{}
 }
 
-// Observe files one probe's re-identification outcome into the day
-// profile: exact URLs count toward their registrable domain too, so a
-// personal page strengthens both the page and the site evidence. (With
-// one candidate, CommonDomain is that candidate's domain.)
-func (t *DayTally) Observe(r Reidentification) {
+// Observe files one probe's Score into the day profile: exact URLs
+// count toward their registrable domain too, so a personal page
+// strengthens both the page and the site evidence. (An exact Score
+// always carries its URL's domain.)
+func (t *DayTally) Observe(s Score) {
 	t.probes++
 	switch {
-	case r.Exact:
-		t.urls.add(r.Candidates[0], 1)
-		t.domains.add(r.CommonDomain, 1)
-	case r.CommonDomain != "":
-		t.domains.add(r.CommonDomain, 1)
+	case s.url != 0:
+		t.urls.add(s.url-1, 1)
+		t.domains.add(s.domain-1, 1)
+	case s.domain != 0:
+		t.domains.add(s.domain-1, 1)
 	default:
 		t.unresolved++
 	}
@@ -187,6 +216,19 @@ func (t *DayTally) Observe(r Reidentification) {
 
 // Probes returns the number of probes tallied (see ClientTally.Probes).
 func (t *DayTally) Probes() int { return t.probes }
+
+// cookieDay renders the tally as the report's entry for cookie, naming
+// its URLs and domains through x. New is left for the caller, which
+// knows the cookie's first day.
+func (t *DayTally) cookieDay(x *Index, cookie string) CookieDay {
+	return CookieDay{
+		Cookie:     cookie,
+		Probes:     t.probes,
+		ExactURLs:  t.urls.byCount(x.urls),
+		Domains:    t.domains.byCount(x.domains),
+		Unresolved: t.unresolved,
+	}
+}
 
 // profileSize is the size of the tally's identity fingerprint: the
 // distinct re-identified exact URLs plus the distinct registrable
@@ -219,7 +261,8 @@ func DayDate(day int64) string {
 // the state passed in — the batch Longitudinal calls it over
 // everything it retained, a windowed streaming stage over whatever
 // days survived eviction, and equal state yields deeply equal reports.
-func BuildLongitudinalReport(days map[int64]map[string]*DayTally, cfg LongitudinalConfig) *LongitudinalReport {
+// x is the index whose Scores the tallies counted.
+func BuildLongitudinalReport(x *Index, days map[int64]map[string]*DayTally, cfg LongitudinalConfig) *LongitudinalReport {
 	cfg = cfg.withDefaults()
 	rep := &LongitudinalReport{}
 	if len(days) == 0 {
@@ -258,15 +301,8 @@ func BuildLongitudinalReport(days map[int64]map[string]*DayTally, cfg Longitudin
 		}
 		sort.Strings(names)
 		for _, c := range names {
-			agg := cookies[c]
-			cd := CookieDay{
-				Cookie:     c,
-				Probes:     agg.probes,
-				ExactURLs:  agg.urls.byCount(),
-				Domains:    agg.domains.byCount(),
-				Unresolved: agg.unresolved,
-				New:        firstSeen[c] == d,
-			}
+			cd := cookies[c].cookieDay(x, c)
+			cd.New = firstSeen[c] == d
 			dr.Cookies = append(dr.Cookies, cd)
 			if cd.New {
 				dr.NewCookies = append(dr.NewCookies, c)

@@ -41,19 +41,19 @@ func (s *LinkageStage) Name() string { return "linkage" }
 // index (outside the lock, like the batch Longitudinal) and tallied
 // under its (day, cookie) bucket.
 func (s *LinkageStage) Observe(p sbserver.Probe) {
-	s.observeScored(p, s.x.Reidentify(p.Prefixes))
+	s.observeScored(p, s.x.Score(p.Prefixes))
 }
 
-// observeScored implements scoredStage: it tallies p given r, the
-// stage's index's re-identification of p.Prefixes.
-func (s *LinkageStage) observeScored(p sbserver.Probe, r core.Reidentification) {
+// observeScored implements scoredStage: it tallies p given sc, the
+// stage's index's Score of p.Prefixes.
+func (s *LinkageStage) observeScored(p sbserver.Probe, sc core.Score) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.w.bucket(core.UnixDay(p.Time), p.ClientID, core.NewDayTally)
 	if !ok {
 		return
 	}
-	t.Observe(r)
+	t.Observe(sc)
 }
 
 // Advance implements Stage: raises the watermark to t's UTC day and
@@ -74,7 +74,7 @@ func (s *LinkageStage) Snapshot() Report { return s.Report() }
 func (s *LinkageStage) Report() *core.LongitudinalReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return core.BuildLongitudinalReport(s.w.days, s.cfg)
+	return core.BuildLongitudinalReport(s.x, s.w.days, s.cfg)
 }
 
 // Stats implements Stage.

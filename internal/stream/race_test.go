@@ -10,6 +10,7 @@ import (
 
 	"sbprivacy/internal/core"
 	"sbprivacy/internal/probestore"
+	"sbprivacy/internal/sbserver"
 )
 
 // TestFollowFanInUnderRace is the concurrency hammer: a writer fills a
@@ -122,5 +123,87 @@ func TestFollowFanInUnderRace(t *testing.T) {
 	live, quiet := pl.Snapshot(), pl2.Snapshot()
 	if !reflect.DeepEqual(live, quiet) {
 		t.Errorf("live fan-in snapshot diverges from batch replay:\nlive: %+v\nquiet: %+v", live, quiet)
+	}
+}
+
+// TestSharedIndexConcurrentReaders: one *core.Index scores for a batch
+// Analyzer, a batch Longitudinal and a Pipeline at once, fed by four
+// goroutines over disjoint cookie shards of a campaign while a fifth
+// renders reports from it mid-flight. Afterwards every report must
+// deep-equal a serial feed's. The pipeline is unwindowed: eviction
+// follows the order probes arrive in, which concurrent feeders do not
+// fix, while unwindowed state is a pure function of the probe multiset.
+func TestSharedIndexConcurrentReaders(t *testing.T) {
+	t.Parallel()
+	x, probes := campaignFeed(t, 80, 7, 13)
+	type sinks struct {
+		a  *core.Analyzer
+		l  *core.Longitudinal
+		pl *Pipeline
+	}
+	newSinks := func() sinks {
+		pl, _, _ := newTestPipeline(x, 0)
+		return sinks{core.NewAnalyzer(x), core.NewLongitudinal(x, core.LongitudinalConfig{}), pl}
+	}
+	feed := func(s sinks, probes []sbserver.Probe) {
+		for _, p := range probes {
+			s.a.Observe(p)
+			s.l.Observe(p)
+			s.pl.Observe(p)
+		}
+	}
+	serial := newSinks()
+	feed(serial, probes)
+
+	const shards = 4
+	byShard := make([][]sbserver.Probe, shards)
+	shardOf := map[string]int{}
+	for _, p := range probes {
+		k, ok := shardOf[p.ClientID]
+		if !ok {
+			k = len(shardOf) % shards
+			shardOf[p.ClientID] = k
+		}
+		byShard[k] = append(byShard[k], p)
+	}
+	conc := newSinks()
+	var feeders, reader sync.WaitGroup
+	done := make(chan struct{})
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			_ = conc.a.Report()
+			_ = conc.l.Report()
+			_ = conc.pl.Snapshot()
+		}
+	}()
+	for _, shard := range byShard {
+		feeders.Add(1)
+		go func(shard []sbserver.Probe) {
+			defer feeders.Done()
+			feed(conc, shard)
+		}(shard)
+	}
+	feeders.Wait()
+	close(done)
+	reader.Wait()
+
+	if got, want := conc.a.Report(), serial.a.Report(); !reflect.DeepEqual(got, want) {
+		t.Error("concurrent Analyzer report diverges from the serial feed's")
+	}
+	if got, want := conc.l.Report(), serial.l.Report(); !reflect.DeepEqual(got, want) {
+		t.Error("concurrent Longitudinal report diverges from the serial feed's")
+	}
+	if got, want := conc.pl.Snapshot(), serial.pl.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Error("concurrent pipeline snapshot diverges from the serial feed's")
+	}
+	if got, want := conc.pl.Snapshot()[0].Report, serial.a.Report(); !reflect.DeepEqual(got, want) {
+		t.Error("unwindowed reident snapshot diverges from the batch Analyzer")
 	}
 }

@@ -36,19 +36,19 @@ func (s *ReidentStage) Name() string { return "reident" }
 // index (outside the lock, like the batch Analyzer) and tallied under
 // its (day, cookie) bucket.
 func (s *ReidentStage) Observe(p sbserver.Probe) {
-	s.observeScored(p, s.x.Reidentify(p.Prefixes))
+	s.observeScored(p, s.x.Score(p.Prefixes))
 }
 
-// observeScored implements scoredStage: it tallies p given r, the
-// stage's index's re-identification of p.Prefixes.
-func (s *ReidentStage) observeScored(p sbserver.Probe, r core.Reidentification) {
+// observeScored implements scoredStage: it tallies p given sc, the
+// stage's index's Score of p.Prefixes.
+func (s *ReidentStage) observeScored(p sbserver.Probe, sc core.Score) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, ok := s.w.bucket(core.UnixDay(p.Time), p.ClientID, core.NewClientTally)
 	if !ok {
 		return
 	}
-	t.Observe(r, len(p.Prefixes))
+	t.Observe(sc, len(p.Prefixes))
 }
 
 // Advance implements Stage: raises the watermark to t's UTC day and
@@ -82,7 +82,7 @@ func (s *ReidentStage) Report() *core.Report {
 			m.MergeFrom(t)
 		}
 	}
-	return core.BuildClientReport(merged)
+	return core.BuildClientReport(s.x, merged)
 }
 
 // Stats implements Stage.

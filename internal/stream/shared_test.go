@@ -195,6 +195,27 @@ func TestPipelineScoresPerIndex(t *testing.T) {
 	}
 }
 
+// TestPipelineObserveAllocs pins the replay hot loop's steady state: a
+// probe whose (day, cookie) bucket is resident and whose URL or domain
+// the tallies already count allocates nothing, windowed or not.
+func TestPipelineObserveAllocs(t *testing.T) {
+	x := testIndex()
+	exact := probeFor("c", day(0, 9), "news.example/world")
+	domain := probeFor("c", day(0, 10), "news.example/")
+	for _, window := range []int{0, 28} {
+		pl, _, _ := newTestPipeline(x, window)
+		pl.Observe(exact)
+		pl.Observe(domain)
+		allocs := testing.AllocsPerRun(1000, func() {
+			pl.Observe(exact)
+			pl.Observe(domain)
+		})
+		if allocs != 0 {
+			t.Errorf("W=%d: %v allocs per two resident probes, want 0", window, allocs)
+		}
+	}
+}
+
 // BenchmarkPipelineObserve is the replay hot loop without the store: a
 // captured campaign feed through the two built-in stages at the
 // benchmark's 28-day window. ns/op and allocs/op are per probe.
@@ -210,5 +231,24 @@ func BenchmarkPipelineObserve(b *testing.B) {
 			pl.Observe(probes[i])
 			done++
 		}
+	}
+}
+
+var snapshotSink []StageSnapshot
+
+// BenchmarkPipelineSnapshot is the end of a replay: the two built-in
+// stages' Snapshot over a resident 28-day window of a captured campaign
+// feed, which renders every tally's names and runs day-over-day
+// linkage. ns/op and allocs/op are per Snapshot.
+func BenchmarkPipelineSnapshot(b *testing.B) {
+	x, probes := campaignFeed(b, 300, 28, 9)
+	pl := NewPipeline(NewReidentStage(x, 28), NewLinkageStage(x, core.LongitudinalConfig{}, 28))
+	for _, p := range probes {
+		pl.Observe(p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshotSink = pl.Snapshot()
 	}
 }

@@ -97,9 +97,10 @@ type Stage interface {
 // sbserver.ProbeSink, so it can subscribe to a live server exactly
 // like the batch sinks do; Replay and Follow drive it from a store.
 //
-// The built-in stages all begin by re-identifying the probe against
-// their index, so the pipeline does that once per probe per distinct
-// index and hands every built-in stage the result; any other Stage —
+// The built-in stages all begin by scoring the probe against their
+// index (core.Index.Score), so the pipeline does that once per probe
+// per distinct index and hands every built-in stage the result; any
+// other Stage —
 // a wrapper around a built-in one included — is driven through
 // Stage.Observe and scores for itself.
 type Pipeline struct {
@@ -109,17 +110,17 @@ type Pipeline struct {
 	scored  []scoredSlot
 	indexes []*core.Index
 	mu      sync.Mutex
-	// results[k] is indexes[k]'s re-identification of the probe being
-	// observed; scratch, valid only under mu.
-	results  []core.Reidentification
+	// results[k] is indexes[k]'s Score of the probe being observed;
+	// scratch, valid only under mu.
+	results  []core.Score
 	observed int64
 }
 
-// scoredStage is the hand-off the pipeline shares a re-identification
-// through. Each built-in stage's Observe is this method applied to its
-// own index's Reidentify, so the two entry points cannot diverge.
+// scoredStage is the hand-off the pipeline shares a Score through.
+// Each built-in stage's Observe is this method applied to its own
+// index's Score, so the two entry points cannot diverge.
 type scoredStage interface {
-	observeScored(p sbserver.Probe, r core.Reidentification)
+	observeScored(p sbserver.Probe, s core.Score)
 }
 
 type scoredSlot struct {
@@ -142,7 +143,7 @@ func NewPipeline(stages ...Stage) *Pipeline {
 			pl.scored[i] = scoredSlot{s, pl.slotFor(s.x)}
 		}
 	}
-	pl.results = make([]core.Reidentification, len(pl.indexes))
+	pl.results = make([]core.Score, len(pl.indexes))
 	return pl
 }
 
@@ -169,7 +170,7 @@ func (pl *Pipeline) Observe(p sbserver.Probe) {
 	defer pl.mu.Unlock()
 	pl.observed++
 	for k, x := range pl.indexes {
-		pl.results[k] = x.Reidentify(p.Prefixes)
+		pl.results[k] = x.Score(p.Prefixes)
 	}
 	for i, s := range pl.stages {
 		s.Advance(p.Time)
