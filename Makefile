@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench docs-check examples-check ablate-smoke loadrig-smoke idxbench-guard live-smoke streambench-smoke pipelinebench-smoke storebench-smoke
+.PHONY: check build vet lint test race bench docs-check examples-check ablate-smoke live-smoke pipelinebench-smoke storebench-smoke
 
 check: build vet race
 
@@ -24,37 +24,6 @@ examples-check:
 # CI's ablation-smoke job calls this.
 ablate-smoke:
 	timeout 300 $(GO) run ./cmd/experiments -ablate -days 3 -clients 200 -seed 42
-
-# loadrig-smoke drives a short fleet run over real loopback sockets
-# with a server-side rate limit low enough to force 429 + Retry-After
-# traffic, then validates the emitted report by re-reading it; CI's
-# bench-smoke job calls this. The report goes to a temp path and is
-# cleaned up — BENCH_*.json in the repo root are deliberate trajectory
-# artifacts, not smoke-test droppings (see docs/EXPERIMENTS.md).
-loadrig-smoke:
-	out=$$(mktemp -t BENCH_loadrig.XXXXXX.json) && \
-	trap 'rm -f "$$out"' EXIT && \
-	timeout 120 $(GO) run ./cmd/experiments -loadrig \
-		-loadrig-workers 8 -loadrig-clients 64 -loadrig-requests 200 \
-		-loadrig-rate 4000 -loadrig-burst 100 -loadrig-retries 20 \
-		-bench-out "$$out" && \
-	$(GO) run ./tools/doccheck -bench "$$out"
-
-# idxbench-guard benchmarks the serving-path prefix index (map-backed
-# baseline vs flat open-addressing table) at CI-sized prefix counts,
-# schema-validates the emitted report, and fails if the flat design's
-# new/old lookup ratio regressed past the committed baseline
-# (docs/BENCH_prefixtable_baseline.json) times the guard slack, if the
-# flat design lost to the map outright at paper scale (1e6), or if a
-# lookup allocated; CI's bench-guard job calls this.
-idxbench-guard:
-	out=$$(mktemp -t BENCH_prefixtable.XXXXXX.json) && \
-	trap 'rm -f "$$out"' EXIT && \
-	timeout 300 $(GO) run ./cmd/experiments -idxbench \
-		-idxbench-sizes 100000,1000000 -idxbench-lookups 262144 \
-		-bench-out "$$out" && \
-	$(GO) run ./tools/doccheck -bench "$$out" \
-		-bench-baseline docs/BENCH_prefixtable_baseline.json
 
 # live-smoke is the streaming-pipeline acceptance run: a short campaign
 # writes a probe store from one process while "sbanalyze -live" tails
@@ -94,19 +63,6 @@ live-smoke:
 		for (s in late) if (late[s] != 0) {print "live-smoke: stage " s " dropped " late[s] " probes as late"; bad=1}; \
 		exit bad}' "$$work/live7.log"; \
 	echo "live-smoke: 7-day window over a 10-day campaign dropped nothing as late"
-
-# streambench-smoke pumps a small captured campaign feed through the
-# full streaming pipeline, then validates the emitted BENCH_stream.json
-# through the strict schema reader; CI's bench-smoke job calls this.
-# (The committed trajectory artifact is produced by the full run:
-# experiments -streambench -clients 1000 -days 7 -bench-out ...)
-streambench-smoke:
-	out=$$(mktemp -t BENCH_stream.XXXXXX.json) && \
-	trap 'rm -f "$$out"' EXIT && \
-	timeout 300 $(GO) run ./cmd/experiments -streambench \
-		-days 3 -clients 100 -seed 42 -stream-window 2 \
-		-bench-out "$$out" && \
-	$(GO) run ./tools/doccheck -bench "$$out"
 
 # pipelinebench-smoke runs the streaming pipeline's two benchmarks (a
 # captured campaign feed through Pipeline.Observe, ns and allocs per

@@ -5,9 +5,6 @@
 //	experiments -run table5            # one experiment
 //	experiments -run all               # everything
 //	experiments -run figure5 -hosts 20000
-//	experiments -loadrig -loadrig-workers 64   # fleet rig over real sockets
-//	experiments -idxbench -bench-out BENCH_prefixtable.json   # serving-index bench
-//	experiments -streambench -bench-out BENCH_stream.json     # streaming-pipeline bench
 //	experiments -campaign -days 7 -clients 1000 -seed 42
 //
 // Scale knobs: -hosts controls the synthetic corpus size (Figures 5/6,
@@ -22,26 +19,8 @@
 // the live report exactly. -campaign-store picks the store directory
 // (default: a fresh temp directory, printed and kept).
 //
-// Load rig mode (-loadrig) drives a concurrent client fleet through
-// the production HTTP transport over real loopback sockets, optionally
-// against server-side rate limits (-loadrig-rate, -loadrig-inflight).
-//
-// Index bench mode (-idxbench) measures the serving-path prefix index:
-// the server's flat open-addressing prefix table against the map-backed
-// reference model on identical workloads at each -idxbench-sizes count.
-// With -idxbench-baseline it also guards the run against a committed
-// BENCH_prefixtable.json and fails if the flat design regressed.
-//
-// Stream bench mode (-streambench) captures a campaign's probe feed
-// (-days, -clients, -seed) and pumps it through the full streaming
-// analysis pipeline of internal/stream — sustained probes/sec plus the
-// peak resident state the -stream-window day window actually held.
-//
-// The bench modes write their machine-readable report to -bench-out.
-// The default is "" (don't write): BENCH_*.json files are gitignored
-// trajectory artifacts, so writing one is always an explicit choice —
-// smoke runs (make loadrig-smoke, make idxbench-guard) point -bench-out
-// at temp paths and clean up after themselves.
+// Performance is measured by the benchmark under bench/ (bash
+// bench/run.sh).
 package main
 
 import (
@@ -84,25 +63,6 @@ func run() int {
 		ablate       = flag.Bool("ablate", false, "run the mitigation ablation grid over the campaign instead of experiments")
 		ablateStore  = flag.String("ablate-store", "", "root directory for the per-cell probe stores (default: fresh temp dir, printed and kept)")
 		ablateVerify = flag.Bool("ablate-verify", true, "re-run every cell and check its report reproduces deep-equal")
-
-		rig         = flag.Bool("loadrig", false, "run the fleet-scale load rig over real HTTP sockets instead of experiments")
-		rigWorkers  = flag.Int("loadrig-workers", 64, "load rig concurrent fleet workers")
-		rigClients  = flag.Int("loadrig-clients", 1024, "load rig distinct client cookies")
-		rigRequests = flag.Int("loadrig-requests", 0, "load rig requests per worker (0 = timed run of -loadrig-secs)")
-		rigSecs     = flag.Int("loadrig-secs", 5, "load rig timed-run duration in seconds")
-		rigRate     = flag.Float64("loadrig-rate", 0, "server token-bucket admission rate per second (0 = unlimited)")
-		rigBurst    = flag.Int("loadrig-burst", 0, "server token-bucket burst capacity (0 = ceil(rate))")
-		rigInflight = flag.Int("loadrig-inflight", 0, "server max concurrent requests in flight (0 = unlimited)")
-		rigRetries  = flag.Int("loadrig-retries", 0, "client retry budget per request (0 = default policy, negative = no retries)")
-		benchOut    = flag.String("bench-out", "", "machine-readable report path for -loadrig / -idxbench / -streambench ('' = don't write)")
-
-		streambench  = flag.Bool("streambench", false, "benchmark the streaming analysis pipeline over a captured campaign feed instead of experiments")
-		streamWindow = flag.Int("stream-window", 7, "streambench pipeline sliding window in days (0 = unbounded)")
-
-		idxbench         = flag.Bool("idxbench", false, "run the serving-index benchmark (striped-map vs prefixtable) instead of experiments")
-		idxbenchSizes    = flag.String("idxbench-sizes", "100000,1000000", "comma-separated prefix counts for -idxbench")
-		idxbenchLookups  = flag.Int("idxbench-lookups", 0, "measured lookups per path per design for -idxbench (0 = default)")
-		idxbenchBaseline = flag.String("idxbench-baseline", "", "committed BENCH_prefixtable.json to guard the -idxbench run against ('' = no guard)")
 	)
 	flag.Parse()
 
@@ -139,45 +99,6 @@ func run() int {
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: campaign: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *streambench {
-		err := runStreambench(os.Stdout, streambenchOptions{
-			clients: *clients, days: *days, seed: *seed,
-			window: *streamWindow, benchOut: *benchOut,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: streambench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *idxbench {
-		err := runIdxbench(os.Stdout, idxbenchOptions{
-			sizes: *idxbenchSizes, lookups: *idxbenchLookups, seed: *seed,
-			benchOut: *benchOut, baseline: *idxbenchBaseline,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: idxbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *rig {
-		err := runLoadrig(os.Stdout, loadrigOptions{
-			workers: *rigWorkers, clients: *rigClients,
-			requests: *rigRequests, secs: *rigSecs,
-			scale: *scale, seed: *seed,
-			rate: *rigRate, burst: *rigBurst, inflight: *rigInflight,
-			retries: *rigRetries, benchOut: *benchOut,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: loadrig: %v\n", err)
 			return 1
 		}
 		return 0

@@ -28,8 +28,7 @@
 //
 // The zero Table is empty and ready to use. A Table is not safe for
 // concurrent use; the serving layer (internal/sbserver) stripes tables
-// by prefix low bits and guards each stripe with an RWMutex, exactly
-// as it does for the map-backed baseline index.
+// by prefix low bits and guards each stripe with an RWMutex.
 package prefixtable
 
 import (
@@ -376,9 +375,9 @@ func (t *Table) grow() {
 
 // Add inserts one (rank, list, digest) entry for p, keeping the
 // prefix's chain grouped by ascending rank with insertion order
-// preserved within a rank — the exact emission order of the map-backed
-// baseline index. Duplicate entries are stored, as the baseline does;
-// the caller (the per-list digest set) is the dedup point.
+// preserved within a rank — the order a full-hash response lists its
+// matches in. Duplicate entries are stored; the caller (the per-list
+// digest set) is the dedup point.
 //
 //sbcheck:hotpath
 func (t *Table) Add(p hashx.Prefix, rank uint32, list string, d hashx.Digest) {
@@ -541,8 +540,7 @@ type Stats struct {
 	FreeEntries int
 }
 
-// Stats returns the table's current shape for diagnostics and the
-// serving-index benchmark report.
+// Stats returns the table's current shape for diagnostics.
 func (t *Table) Stats() Stats {
 	return Stats{
 		Prefixes:    t.n,

@@ -112,9 +112,9 @@ func WithRetryJitterSource(f func() float64) RetryOption {
 // signals — 429 and 5xx StatusErrors, and transport-level network
 // failures — are retried on the policy's backoff schedule; everything
 // else (4xx, decode failures, context cancellation) surfaces
-// immediately. Safe for concurrent use by any number of goroutines; the
-// load rig shares one RetryTransport across its whole worker fleet so
-// Stats aggregates fleet-wide.
+// immediately. Safe for concurrent use by any number of goroutines; a
+// fleet of workers can share one RetryTransport so Stats aggregates
+// fleet-wide.
 type RetryTransport struct {
 	inner  Transport
 	policy RetryPolicy
@@ -160,7 +160,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // newJitterSource returns a mutex-guarded uniform [0,1) source with a
 // per-transport seed (the global math/rand source would contend across
-// every worker of a load-rig fleet).
+// every worker of a fleet sharing the transport).
 func newJitterSource() func() float64 {
 	var mu sync.Mutex
 	rng := rand.New(rand.NewSource(rand.Int63())) //nolint:gosec // jitter, not crypto

@@ -8,9 +8,8 @@ import (
 )
 
 // TestPrefixTableLookupAllocs is the runtime half of the hotalloc gate
-// on the flat serving index, the exact mirror of TestShardLookupAllocs
-// for the prefixtable-backed design: with a caller-provided dst of
-// sufficient capacity, a flat-index lookup must not allocate at all.
+// on the flat serving index: with a caller-provided dst of sufficient
+// capacity, a flat-index lookup must not allocate at all.
 // The //sbcheck:hotpath markers on stripe/lookup (and on the
 // prefixtable Find/Cursor path underneath) keep allocation-causing
 // constructs out statically; this test proves the resulting count.

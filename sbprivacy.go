@@ -297,15 +297,7 @@ type (
 	// LinkageStage is the windowed streaming form of the Longitudinal
 	// correlator.
 	LinkageStage = stream.LinkageStage
-	// StreamBenchReport is the BENCH_stream.json streaming benchmark
-	// record.
-	StreamBenchReport = stream.BenchReport
-	// StreamBenchConfig echoes a streaming benchmark's configuration.
-	StreamBenchConfig = stream.BenchConfig
 )
-
-// StreamBenchSchema identifies the BENCH_stream.json layout.
-const StreamBenchSchema = stream.BenchSchema
 
 // Streaming pipeline constructors and drivers.
 var (
@@ -319,8 +311,6 @@ var (
 	StreamReplay = stream.Replay
 	// StreamFollow tails a live store directory into a pipeline.
 	StreamFollow = stream.Follow
-	// ReadStreamBenchFile reads and validates a BENCH_stream.json.
-	ReadStreamBenchFile = stream.ReadBenchFile
 )
 
 // Experiment harness types.

@@ -15,29 +15,16 @@
 // least parses its flags ("go run ./cmd/X -h" exits 0) — the guard that
 // keeps the experiments playbook runnable as the CLIs evolve.
 //
-// A fifth, opt-in pass (-bench file.json) loads a BENCH report through
-// the strict typed reader for its schema (unknown fields rejected,
-// invariants validated) — the schema regression guard "make
-// loadrig-smoke", "make idxbench-guard" and CI's bench jobs end on.
-// The reader is picked by peeking the report's "schema" field:
-// sbprivacy/loadrig/v1 and sbprivacy/prefixtable/v1 are known. For
-// prefixtable reports, -bench-baseline names a committed baseline
-// report and additionally enforces the bench-regression guard
-// (prefixtable.Guard): zero lookup allocations, flat beats map, and
-// the new/old ratio within GuardSlack of the baseline's.
-//
 // Usage:
 //
-//	go run ./tools/doccheck [-md file.md]... [-cmds file.md]... [-bench file.json]... [-bench-baseline base.json] [pkgdir]...
+//	go run ./tools/doccheck [-md file.md]... [-cmds file.md]... [pkgdir]...
 //
-// With no arguments it checks the packages and documents this
-// repository cares about (internal/sbserver, internal/wire,
-// internal/probestore, internal/core, internal/workload, README.md,
-// docs/*.md) plus the internal/-wide package-comment sweep.
+// With no arguments it checks the packages in defaultPackages and the
+// documents in defaultDocs (README.md, docs/*.md), plus the
+// internal/-wide package-comment sweep.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -48,10 +35,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-
-	"sbprivacy/internal/loadrig"
-	"sbprivacy/internal/prefixtable"
-	"sbprivacy/internal/stream"
 )
 
 // defaultPackages are the packages whose exported API must be fully
@@ -63,10 +46,8 @@ var defaultPackages = []string{
 	"internal/core",
 	"internal/workload",
 	"internal/sbclient",
-	"internal/loadrig",
 	"internal/prefixtable",
 	"internal/stream",
-	"internal/benchkit",
 }
 
 // defaultDocs are the markdown files whose relative links must resolve.
@@ -80,16 +61,13 @@ var defaultDocs = []string{
 func main() {
 	var mdFiles stringList
 	var cmdFiles stringList
-	var benchFiles stringList
 	flag.Var(&mdFiles, "md", "markdown file to link-check (repeatable)")
 	flag.Var(&cmdFiles, "cmds", "markdown file whose quoted 'go run ./cmd/X' commands must parse -h (repeatable)")
-	flag.Var(&benchFiles, "bench", "BENCH report to validate against its typed schema (repeatable)")
-	benchBaseline := flag.String("bench-baseline", "", "committed prefixtable baseline report; -bench prefixtable reports must not regress past it")
 	flag.Parse()
 
 	pkgs := flag.Args()
 	sweep := false
-	if len(pkgs) == 0 && len(mdFiles) == 0 && len(cmdFiles) == 0 && len(benchFiles) == 0 {
+	if len(pkgs) == 0 && len(mdFiles) == 0 && len(cmdFiles) == 0 {
 		pkgs = defaultPackages
 		mdFiles = defaultDocs
 		sweep = true
@@ -107,9 +85,6 @@ func main() {
 	}
 	for _, md := range cmdFiles {
 		problems += checkQuotedCommands(md)
-	}
-	for _, bench := range benchFiles {
-		problems += checkBenchReport(bench, *benchBaseline)
 	}
 	if problems > 0 {
 		fmt.Fprintf(os.Stderr, "doccheck: %d problem(s)\n", problems)
@@ -219,85 +194,6 @@ func checkQuotedCommands(md string) int {
 		}
 	}
 	return problems
-}
-
-// checkBenchReport loads a benchmark report through the strict typed
-// reader for its schema: unknown fields and invariant violations both
-// fail, so a drifted or corrupted BENCH file can't slip past CI
-// looking valid. The reader is picked by the report's "schema" field;
-// an unknown schema is itself a failure. Prefixtable reports are
-// additionally held to the regression guard when baseline is set.
-func checkBenchReport(path, baseline string) int {
-	schema, err := peekSchema(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: bench %s: %v\n", path, err)
-		return 1
-	}
-	switch schema {
-	case loadrig.ReportSchema:
-		rep, err := loadrig.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: bench %s: %v\n", path, err)
-			return 1
-		}
-		fmt.Printf("doccheck: %s ok (%s: %d requests, %.0f req/s, p99 %.0fµs)\n",
-			path, rep.Schema, rep.Requests, rep.ThroughputRPS, rep.Latency.P99Micros)
-		return 0
-	case prefixtable.ReportSchema:
-		rep, err := prefixtable.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: bench %s: %v\n", path, err)
-			return 1
-		}
-		var base *prefixtable.Report
-		if baseline != "" {
-			base, err = prefixtable.ReadFile(baseline)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "doccheck: bench baseline %s: %v\n", baseline, err)
-				return 1
-			}
-		}
-		if err := prefixtable.Guard(rep, base); err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: bench %s: guard: %v\n", path, err)
-			return 1
-		}
-		last := rep.Results[len(rep.Results)-1]
-		fmt.Printf("doccheck: %s ok (%s: %d sizes, %.2fx hit speedup at %d prefixes)\n",
-			path, rep.Schema, len(rep.Results), last.SpeedupHit, last.Prefixes)
-		return 0
-	case stream.BenchSchema:
-		rep, err := stream.ReadBenchFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: bench %s: %v\n", path, err)
-			return 1
-		}
-		fmt.Printf("doccheck: %s ok (%s: %d probes, %.0f probes/s, peak %d cookies / %d days resident)\n",
-			path, rep.Schema, rep.Probes, rep.ProbesPerSec,
-			rep.PeakResidentCookies, rep.PeakResidentDays)
-		return 0
-	default:
-		fmt.Fprintf(os.Stderr, "doccheck: bench %s: unknown schema %q\n", path, schema)
-		return 1
-	}
-}
-
-// peekSchema reads only the "schema" field of a BENCH report so the
-// right strict reader can take over.
-func peekSchema(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	var peek struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(data, &peek); err != nil {
-		return "", err
-	}
-	if peek.Schema == "" {
-		return "", fmt.Errorf("no schema field")
-	}
-	return peek.Schema, nil
 }
 
 // stringList implements flag.Value for a repeatable string flag.
