@@ -53,3 +53,41 @@ func TestPrefixTableLookupAllocs(t *testing.T) {
 		t.Fatalf("lookup returned %d entries, want 4", len(dst))
 	}
 }
+
+// TestShardLookupAllocs extends the same gate across every stripe of
+// the serving index: with one entry planted in each of the numShards
+// stripes, a hit and a miss routed to each stripe must not allocate.
+// TestPrefixTableLookupAllocs pins one stripe through growth; this one
+// pins stripe selection and the per-stripe lock path everywhere.
+// Gate: 0 allocs/op.
+func TestShardLookupAllocs(t *testing.T) {
+	x := newFlatIndex()
+	base := hashx.Sum("evil.example/").Prefix() &^ hashx.Prefix(numShards-1)
+	d := hashx.Sum("evil.example/")
+	for i := 0; i < numShards; i++ {
+		p := base + hashx.Prefix(i)
+		x.add(p, indexEntry{rank: uint32(i), list: "goog-malware-shavar", digest: d})
+	}
+
+	dst := make([]wire.FullHashEntry, 0, 16)
+	for i := 0; i < numShards; i++ {
+		hit := base + hashx.Prefix(i)
+		miss := hit + hashx.Prefix(numShards)
+		if x.stripe(hit) != &x.stripes[i] || x.stripe(miss) != &x.stripes[i] {
+			t.Fatalf("prefix %08x not routed to stripe %d", uint32(hit), i)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			dst = x.lookup(hit, dst[:0])
+			dst = x.lookup(miss, dst)
+		})
+		if allocs != 0 {
+			t.Errorf("stripe %d: lookup %v allocs/op, want 0", i, allocs)
+		}
+		if dst = x.lookup(hit, dst[:0]); len(dst) != 1 || dst[0].Digest != d {
+			t.Fatalf("stripe %d: hit returned %v, want one entry", i, dst)
+		}
+		if dst = x.lookup(miss, dst[:0]); len(dst) != 0 {
+			t.Fatalf("stripe %d: miss returned %d entries, want 0", i, len(dst))
+		}
+	}
+}
