@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench docs-check examples-check ablate-smoke live-smoke pipelinebench-smoke storebench-smoke
+.PHONY: check build vet lint test race order-check bench docs-check examples-check ablate-smoke live-smoke pipelinebench-smoke storebench-smoke
 
 check: build vet race
 
@@ -103,6 +103,14 @@ test:
 
 race:
 	$(GO) test -race -vet=all ./...
+
+# order-check holds the probe pipeline's order contract — delivery
+# order is record order, across clients — at more than one GOMAXPROCS:
+# the pipeline's record-order test and the campaign's byte-identity and
+# global-time-order tests, each twice at -cpu 1 and 4, under the race
+# detector. CI's race-short job calls this.
+order-check:
+	$(GO) test -race -cpu 1,4 -count 2 -run 'RecordOrder|ByteIdentical|ProbesAndClock' ./internal/sbserver/ ./internal/workload/
 
 bench:
 	$(GO) test -run xxx -bench 'ServerConcurrent|AblationServerSeedDesign' -cpu=1,8 -benchmem .

@@ -252,7 +252,7 @@ func BenchmarkServerConcurrentFullHash(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		// Each goroutine is one client with its own cookie, as in a
-		// real fleet; distinct cookies ride distinct pipeline stripes.
+		// real fleet; every cookie shares the pipeline's one lane.
 		cookie := fmt.Sprintf("client-%d", atomic.AddInt64(&worker, 1))
 		req := &wire.FullHashRequest{ClientID: cookie, Prefixes: make([]hashx.Prefix, 4)}
 		i := 0
@@ -331,7 +331,8 @@ func (s *seedDesignServer) fullHashes(req *wire.FullHashRequest) *wire.FullHashR
 // BenchmarkAblationServerSeedDesign runs the exact workload of
 // BenchmarkServerConcurrentFullHash against the seed's global-lock
 // design. The gap between the two under -cpu > 1 is the contention cost
-// the striped index and async probe pipeline remove.
+// the striped index and the async probe pipeline's one drainer remove
+// from the request path.
 func BenchmarkAblationServerSeedDesign(b *testing.B) {
 	seed := &seedDesignServer{byPrefix: make(map[hashx.Prefix][]hashx.Digest, 100000)}
 	for i := 0; i < 100000; i++ {

@@ -99,18 +99,6 @@ func PrefixFromBytes(b []byte) (Prefix, error) {
 	return Prefix(binary.BigEndian.Uint32(b)), nil
 }
 
-// FNV32a returns the 32-bit FNV-1a hash of s. The server's probe
-// pipeline uses it to stripe work by client cookie (cheap, uniform, and
-// not security-sensitive — unlike the SHA-256 digests above), reducing
-// the hash modulo its stripe count.
-func FNV32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
-
 // ParseDigest parses a 64-character hex string into a Digest.
 func ParseDigest(s string) (Digest, error) {
 	var d Digest

@@ -43,7 +43,7 @@ func WithFollowPoll(d time.Duration) FollowOption {
 // an error (returned as-is). Requires a read-only store, so a live
 // writer's directory can be tailed from another process.
 //
-// Semantics match Replay where they overlap: per-client order is the
+// Semantics match Replay where they overlap: delivery order is the
 // writer's arrival order, a record is delivered exactly once, and a
 // segment evicted by the writer's retention before the tail reaches it
 // is skipped. A record half-written at the moment of a poll (a torn

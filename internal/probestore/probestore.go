@@ -217,7 +217,7 @@ type recordRef struct {
 
 // Store is a persistent probe log rooted at one directory. It is safe
 // for concurrent use; Observe may be called from many goroutines (the
-// probe pipeline's drainers).
+// probe pipelines of several servers, or direct producers).
 type Store struct {
 	dir string
 	cfg config

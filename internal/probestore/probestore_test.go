@@ -74,9 +74,9 @@ func TestStoreRoundTrip(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d probes, want %d", len(got), len(want))
 	}
-	// All probes went through one writer goroutine, so global order is
-	// per-stripe; check per-client order instead, the guaranteed
-	// property.
+	// The store has one write buffer, so replay returns the Observe
+	// order; check each client's share of it, the order the tracking
+	// machinery reads.
 	perClient := func(ps []sbserver.Probe) map[string][]sbserver.Probe {
 		m := make(map[string][]sbserver.Probe)
 		for _, p := range ps {

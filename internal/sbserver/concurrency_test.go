@@ -215,8 +215,8 @@ func TestProbeLogLimitRing(t *testing.T) {
 	s := New(WithProbeLogLimit(4))
 	rec := &recordingSink{}
 	s.Subscribe(rec)
-	// One client keeps everything on one pipeline stripe, so the
-	// retained window is exact.
+	// The pipeline logs in record order, so the retained window is
+	// exact.
 	const n = 10
 	for i := 0; i < n; i++ {
 		if _, err := s.FullHashes(&wire.FullHashRequest{

@@ -1,12 +1,8 @@
 package sbserver
 
 import (
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
-
-	"sbprivacy/internal/hashx"
 )
 
 // OverflowPolicy decides what happens when probes arrive faster than the
@@ -36,134 +32,91 @@ type ProbeStats struct {
 	Evicted uint64
 }
 
-// maxProbeStripes caps the drainer goroutines per server.
-const maxProbeStripes = 16
-
-// probeMsg is one unit on a stripe channel: either a sequenced probe or
-// a flush barrier (flush != nil). sinks is the sink list captured at
+// probeMsg is one unit on the pipeline channel: either a probe or a
+// flush barrier (flush != nil). sinks is the sink list captured at
 // record time, so a sink subscribed after a request never observes it —
 // Subscribe is a cut-point, as it was when delivery was synchronous.
 type probeMsg struct {
-	seq   uint64
 	probe Probe
 	sinks []ProbeSink
 	flush chan struct{}
 }
 
-// seqProbe is a logged probe tagged with its global record order.
-type seqProbe struct {
-	seq   uint64
-	probe Probe
-}
-
-// probeStripe is one independently drained lane of the pipeline with its
-// own log segment. The log is written only by the stripe's drainer (or
-// by record() after close), so the mutex is effectively uncontended on
-// the hot path; snapshot() takes it briefly to copy.
-type probeStripe struct {
-	ch   chan probeMsg
-	done chan struct{}
-
-	mu      sync.Mutex
-	log     []seqProbe
-	start   int // ring head when the segment is at capacity
-	evicted uint64
-}
-
-// append adds a probe to the stripe's log segment, rotating when the
-// per-stripe capacity (the pipeline's logCap) is reached.
-func (st *probeStripe) append(sp seqProbe, logCap int) {
-	st.mu.Lock()
-	if logCap > 0 && len(st.log) == logCap {
-		st.log[st.start] = sp
-		st.start = (st.start + 1) % logCap
-		st.evicted++
-	} else {
-		st.log = append(st.log, sp)
-	}
-	st.mu.Unlock()
-}
-
 // probePipeline decouples probe recording from the full-hash serving
-// path: FullHashes enqueues on a bounded channel and returns; background
-// goroutines drain, append to the (optionally rotating) log and fan out
-// to subscribed sinks. The serving path therefore never blocks on a slow
-// sink, and no log mutex is ever contended by request handlers.
+// path: FullHashes enqueues on one bounded channel and returns; one
+// drainer goroutine appends to the (optionally rotating) log and fans
+// out to subscribed sinks. The serving path therefore never blocks on a
+// slow sink, and no log mutex is ever contended by request handlers.
 //
-// The pipeline is striped by client cookie so a fleet of clients doesn't
-// serialize on one channel: probes from the same client stay FIFO (the
-// ordering the tracking and correlation machinery depends on), while
-// different clients ride different lanes. A global sequence number
-// assigned at record time lets snapshot() restore the exact record
-// order across lanes.
+// Delivery order is record order: the channel is FIFO and has a single
+// reader, so the log and every sink see probes in the order they were
+// enqueued, across all clients. One lane is enough because every sink
+// serializes on its own lock; a second lane would parallelize little
+// beyond the ring append, and cost a reorder to get record order back.
 type probePipeline struct {
-	stripes []probeStripe
-	policy  OverflowPolicy
-	logCap  int // per-stripe log bound; 0 = unbounded
+	ch     chan probeMsg
+	done   chan struct{}
+	policy OverflowPolicy
+	logCap int // log bound; 0 = unbounded
 
-	// seq doubles as the received counter: it is incremented once per
-	// recorded probe.
-	seq     atomic.Uint64
-	dropped atomic.Uint64
+	received atomic.Uint64
+	dropped  atomic.Uint64
 
 	// sinks is a copy-on-write slice loaded lock-free on delivery.
 	sinks  atomic.Pointer[[]ProbeSink]
 	sinkMu sync.Mutex // serializes Subscribe writers
+
+	// The log is written only by the drainer (or by record() after
+	// close), so logMu is effectively uncontended on the hot path;
+	// snapshot() and stats() take it briefly.
+	logMu   sync.Mutex
+	log     []Probe
+	start   int // ring head when the log is at capacity
+	evicted uint64
 
 	stateMu sync.RWMutex
 	closed  bool
 }
 
 func newProbePipeline(buffer, logCap int, policy OverflowPolicy) *probePipeline {
-	nstripes := runtime.GOMAXPROCS(0)
-	if nstripes > maxProbeStripes {
-		nstripes = maxProbeStripes
-	}
-	if nstripes < 1 {
-		nstripes = 1
-	}
-	perStripe := buffer / nstripes
-	if perStripe < 1 {
-		perStripe = 1
+	if buffer < 1 {
+		buffer = 1
 	}
 	p := &probePipeline{
-		stripes: make([]probeStripe, nstripes),
-		policy:  policy,
-		logCap:  logCap,
+		ch:     make(chan probeMsg, buffer),
+		done:   make(chan struct{}),
+		policy: policy,
+		logCap: logCap,
 	}
-	for i := range p.stripes {
-		p.stripes[i].ch = make(chan probeMsg, perStripe)
-		p.stripes[i].done = make(chan struct{})
-		go p.run(&p.stripes[i])
-	}
+	go p.run()
 	return p
 }
 
-// stripeFor maps a client cookie to its lane (FNV-1a).
-func (p *probePipeline) stripeFor(clientID string) *probeStripe {
-	if len(p.stripes) == 1 {
-		return &p.stripes[0]
-	}
-	return &p.stripes[hashx.FNV32a(clientID)%uint32(len(p.stripes))]
-}
-
-func (p *probePipeline) run(st *probeStripe) {
-	defer close(st.done)
-	for msg := range st.ch {
+func (p *probePipeline) run() {
+	defer close(p.done)
+	for msg := range p.ch {
 		if msg.flush != nil {
 			close(msg.flush)
 			continue
 		}
-		p.deliver(st, seqProbe{seq: msg.seq, probe: msg.probe}, msg.sinks)
+		p.deliver(msg.probe, msg.sinks)
 	}
 }
 
-// deliver appends to the stripe's log segment and fans out to the sinks
-// captured when the probe was recorded.
-func (p *probePipeline) deliver(st *probeStripe, sp seqProbe, sinks []ProbeSink) {
-	st.append(sp, p.logCap)
+// deliver appends to the log, rotating when logCap is reached, and fans
+// out to the sinks captured when the probe was recorded.
+func (p *probePipeline) deliver(probe Probe, sinks []ProbeSink) {
+	p.logMu.Lock()
+	if p.logCap > 0 && len(p.log) == p.logCap {
+		p.log[p.start] = probe
+		p.start = (p.start + 1) % p.logCap
+		p.evicted++
+	} else {
+		p.log = append(p.log, probe)
+	}
+	p.logMu.Unlock()
 	for _, sink := range sinks {
-		sink.Observe(sp.probe)
+		sink.Observe(probe)
 	}
 }
 
@@ -174,23 +127,22 @@ func (p *probePipeline) deliver(st *probeStripe, sp seqProbe, sinks []ProbeSink)
 func (p *probePipeline) record(probe Probe) {
 	p.stateMu.RLock()
 	defer p.stateMu.RUnlock()
-	sp := seqProbe{seq: p.seq.Add(1), probe: probe}
-	st := p.stripeFor(probe.ClientID)
+	p.received.Add(1)
 	var sinks []ProbeSink
-	if sp2 := p.sinks.Load(); sp2 != nil {
-		sinks = *sp2
+	if sp := p.sinks.Load(); sp != nil {
+		sinks = *sp
 	}
 	if p.closed {
-		// After close the drainers are gone; synchronous delivery under
+		// After close the drainer is gone; synchronous delivery under
 		// the read lock is the record-vs-close fence that guarantees a
 		// drained server still observes every probe.
-		p.deliver(st, sp, sinks) //sbcheck:ignore lockscope post-close synchronous delivery is the record-vs-close fence; RLock only excludes close, never other recorders
+		p.deliver(probe, sinks) //sbcheck:ignore lockscope post-close synchronous delivery is the record-vs-close fence; RLock only excludes close, never other recorders
 		return
 	}
-	msg := probeMsg{seq: sp.seq, probe: probe, sinks: sinks}
+	msg := probeMsg{probe: probe, sinks: sinks}
 	if p.policy == OverflowDrop {
 		select {
-		case st.ch <- msg:
+		case p.ch <- msg:
 		default:
 			p.dropped.Add(1)
 		}
@@ -198,7 +150,7 @@ func (p *probePipeline) record(probe Probe) {
 	}
 	// OverflowBlock deliberately applies backpressure here; stateMu is an
 	// RLock shared by every recorder, so the wait stalls no one but close.
-	st.ch <- msg //sbcheck:ignore lockscope OverflowBlock backpressure send under the shared RLock is the documented record-vs-close fence
+	p.ch <- msg //sbcheck:ignore lockscope OverflowBlock backpressure send under the shared RLock is the documented record-vs-close fence
 }
 
 // flush blocks until every probe recorded before the call has been
@@ -209,59 +161,34 @@ func (p *probePipeline) flush() {
 		p.stateMu.RUnlock()
 		return
 	}
-	barriers := make([]chan struct{}, len(p.stripes))
-	for i := range p.stripes {
-		barriers[i] = make(chan struct{})
-		p.stripes[i].ch <- probeMsg{flush: barriers[i]} //sbcheck:ignore lockscope flush barrier send must happen under the RLock so close cannot retire the drainers mid-flush
-	}
+	barrier := make(chan struct{})
+	p.ch <- probeMsg{flush: barrier} //sbcheck:ignore lockscope flush barrier send must happen under the RLock so close cannot retire the drainer mid-flush
 	p.stateMu.RUnlock()
-	for _, b := range barriers {
-		<-b
-	}
+	<-barrier
 }
 
-// close stops the drainers after they finish everything already
+// close stops the drainer after it finishes everything already
 // enqueued. When wait is true, close returns only once the drain is
 // complete — the flush-on-Close guarantee.
 func (p *probePipeline) close(wait bool) {
 	p.stateMu.Lock()
-	already := p.closed
-	p.closed = true
-	if !already {
-		for i := range p.stripes {
-			close(p.stripes[i].ch)
-		}
+	if !p.closed {
+		p.closed = true
+		close(p.ch)
 	}
 	p.stateMu.Unlock()
 	if wait {
-		for i := range p.stripes {
-			<-p.stripes[i].done
-		}
+		<-p.done
 	}
 }
 
-// snapshot returns the logged probes in record order (by sequence
-// number). With a bounded log each stripe retains up to the bound, and
-// the merged result is trimmed to the newest logCap probes overall, so
-// the window is exact in record order.
+// snapshot returns the logged probes in record order, oldest first.
 func (p *probePipeline) snapshot() []Probe {
-	var ordered []seqProbe
-	for i := range p.stripes {
-		st := &p.stripes[i]
-		st.mu.Lock()
-		ordered = append(ordered, st.log[st.start:]...)
-		ordered = append(ordered, st.log[:st.start]...)
-		st.mu.Unlock()
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seq < ordered[j].seq })
-	if p.logCap > 0 && len(ordered) > p.logCap {
-		ordered = ordered[len(ordered)-p.logCap:]
-	}
-	out := make([]Probe, len(ordered))
-	for i, sp := range ordered {
-		out[i] = sp.probe
-	}
-	return out
+	p.logMu.Lock()
+	defer p.logMu.Unlock()
+	out := make([]Probe, 0, len(p.log))
+	out = append(out, p.log[p.start:]...)
+	return append(out, p.log[:p.start]...)
 }
 
 func (p *probePipeline) subscribe(sink ProbeSink) {
@@ -278,14 +205,11 @@ func (p *probePipeline) subscribe(sink ProbeSink) {
 }
 
 func (p *probePipeline) stats() ProbeStats {
-	var evicted uint64
-	for i := range p.stripes {
-		p.stripes[i].mu.Lock()
-		evicted += p.stripes[i].evicted
-		p.stripes[i].mu.Unlock()
-	}
+	p.logMu.Lock()
+	evicted := p.evicted
+	p.logMu.Unlock()
 	return ProbeStats{
-		Received: p.seq.Load(),
+		Received: p.received.Load(),
 		Dropped:  p.dropped.Load(),
 		Evicted:  evicted,
 	}

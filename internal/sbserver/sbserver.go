@@ -13,9 +13,9 @@
 // of the prefix space), list mutations take only the owning list's lock,
 // and probe recording goes through an asynchronous bounded pipeline, so
 // full-hash requests on different prefixes never serialize. Probe
-// delivery to sinks and the probe log is therefore asynchronous; call
-// Flush (or Close) before reading sink state, and note that Probes
-// flushes internally.
+// delivery to sinks and the probe log is therefore asynchronous, though
+// in record order; call Flush (or Close) before reading sink state, and
+// note that Probes flushes internally.
 package sbserver
 
 import (
@@ -109,18 +109,17 @@ func WithClock(now func() time.Time) Option {
 	return func(s *Server) { s.now = now }
 }
 
-// WithProbeBuffer sets the total capacity of the async probe pipeline,
-// divided across its client-striped lanes.
+// WithProbeBuffer sets the capacity of the async probe pipeline's one
+// lane: how many probes may wait for the drainer before OverflowBlock
+// stalls the request path or OverflowDrop sheds. Values below 1 mean 1.
 func WithProbeBuffer(n int) Option {
 	return func(s *Server) { s.probeBuffer = n }
 }
 
 // WithProbeLogLimit bounds the probe log: Probes() returns at most the
-// n most recent probes (a rotating log). Zero keeps every probe, the
-// seed behaviour. Sinks still observe every probe regardless of the
-// limit. Memory note: the pipeline retains up to n probes per
-// client-stripe internally (at most 16 stripes), so worst-case
-// residency is 16n; size n from that bound when capping memory.
+// n most recent probes (a rotating log), and the pipeline never holds
+// more than n logged probes. Zero keeps every probe, the seed
+// behaviour. Sinks still observe every probe regardless of the limit.
 func WithProbeLogLimit(n int) Option {
 	return func(s *Server) { s.probeLogCap = n }
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"sbprivacy/internal/hashx"
@@ -65,16 +66,16 @@ type RunOptions struct {
 // event in schedule order — setting the shared virtual clock to the
 // event's timestamp, lazily syncing a client the first time its cookie
 // acts, and checking the event's URL. The server is drained and closed
-// before Run returns, so sinks have observed every probe; a subscribed
-// probe store is NOT closed (callers own its Flush/Close ordering).
+// before Run returns — on an error mid-schedule too — so sinks have
+// observed every probe recorded; a subscribed probe store is NOT closed
+// (callers own its Flush/Close ordering).
 //
-// Determinism contract: Run flushes the server's async probe pipeline
-// after every event, so sinks observe probes in exact schedule order,
-// one at a time. Combined with the generator's determinism this makes
-// two runs of the same campaign byte-identical all the way down to a
-// subscribed probe store's segment files. The cost is one pipeline
-// barrier per visit — campaigns trade the sharded server's concurrency
-// for reproducibility, which is what a comparable experiment needs.
+// Determinism contract: Run plays the schedule from one goroutine, and
+// the server's probe pipeline delivers in record order, so sinks
+// observe probes in exact schedule order, one at a time, with no
+// barrier per visit. Combined with the generator's determinism this
+// makes two runs of the same campaign byte-identical all the way down
+// to a subscribed probe store's segment files.
 func (c *Campaign) Run(ctx context.Context, sinks ...sbserver.ProbeSink) (*RunStats, error) {
 	return c.RunWith(ctx, RunOptions{Sinks: sinks})
 }
@@ -118,7 +119,7 @@ func (c *Campaign) RunWith(ctx context.Context, opts RunOptions) (*RunStats, err
 	stats := &RunStats{}
 	for _, ev := range c.Events {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, errors.Join(err, server.Close())
 		}
 		clock.Set(ev.Time)
 		cl := clients[ev.Cookie]
@@ -135,16 +136,13 @@ func (c *Campaign) RunWith(ctx context.Context, opts RunOptions) (*RunStats, err
 			clients[ev.Cookie] = cl
 			clientOrder = append(clientOrder, cl)
 			if err := cl.Update(ctx, true); err != nil {
-				return nil, fmt.Errorf("workload: sync %s: %w", ev.Cookie, err)
+				return nil, errors.Join(fmt.Errorf("workload: sync %s: %w", ev.Cookie, err), server.Close())
 			}
 			stats.Updates++
 		}
 		if _, err := cl.CheckURL(ctx, ev.URL); err != nil {
-			return nil, fmt.Errorf("workload: %s checks %s: %w", ev.Cookie, ev.URL, err)
+			return nil, errors.Join(fmt.Errorf("workload: %s checks %s: %w", ev.Cookie, ev.URL, err), server.Close())
 		}
-		// The determinism barrier: the event's probe (if any) reaches
-		// every sink before the next event runs.
-		server.Flush()
 		stats.Events++
 	}
 	if err := server.Close(); err != nil {

@@ -136,20 +136,21 @@ func TestRunProbesAndClock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	// Replay preserves per-client order (cross-client interleaving
-	// follows spill order — see the probestore package comment), and
-	// every timestamp must be virtual campaign time, not wall time.
+	// The schedule is time-sorted and the server's probe pipeline
+	// delivers in record order, so replayed timestamps never decrease
+	// across the whole store, not just per client. Every timestamp must
+	// be virtual campaign time, not wall time.
 	end := camp.Config.Start.Add(3 * 24 * time.Hour)
-	lastByClient := make(map[string]sbserver.Probe)
+	var last time.Time
 	n := 0
 	if err := ro.Replay(func(p sbserver.Probe) error {
 		if p.Time.Before(camp.Config.Start) || !p.Time.Before(end) {
 			t.Fatalf("probe at %v outside the virtual campaign window", p.Time)
 		}
-		if prev, seen := lastByClient[p.ClientID]; seen && p.Time.Before(prev.Time) {
-			t.Fatalf("client %s probes out of order: %v after %v", p.ClientID, p.Time, prev.Time)
+		if p.Time.Before(last) {
+			t.Fatalf("probe %d (client %s) out of time order: %v after %v", n, p.ClientID, p.Time, last)
 		}
-		lastByClient[p.ClientID] = p
+		last = p.Time
 		n++
 		return nil
 	}); err != nil {
