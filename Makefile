@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race order-check bench docs-check examples-check ablate-smoke live-smoke pipelinebench-smoke storebench-smoke
+.PHONY: check build vet lint test race order-check bench docs-check examples-check ablate-smoke live-smoke pipelinebench-smoke storebench-smoke httpbench-smoke
 
 check: build vet race
 
@@ -79,6 +79,15 @@ pipelinebench-smoke:
 # that read them; CI's bench-smoke job calls this.
 storebench-smoke:
 	$(GO) test -run '^$$' -bench 'StoreIngest$$|ClientHistorySparse' -benchtime 1x ./internal/probestore
+
+# httpbench-smoke runs the full-hash HTTP path's two benchmarks (one
+# /gethash and one 64-request /gethash/batch round trip over a loopback
+# sbserver.Handler and a keep-alive HTTPTransport; ns, bytes and allocs
+# per round trip, both ends of the wire) for one iteration each, so
+# they cannot rot between the PRs that read them; CI's bench-smoke job
+# calls this.
+httpbench-smoke:
+	$(GO) test -run '^$$' -bench 'HTTPFullHash' -benchmem -benchtime 1x ./internal/sbclient
 
 build:
 	$(GO) build ./...

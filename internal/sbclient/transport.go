@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"sbprivacy/internal/sbserver"
@@ -68,7 +69,11 @@ func (e *StatusError) Error() string {
 }
 
 // HTTPTransport talks to a remote server over HTTP using the binary wire
-// format.
+// format. A full-hash response is read whole, at most
+// wire.MaxFullHashResponseWireBytes (or the batch bound) of it, before
+// it is decoded; a longer one fails with an error wrapping
+// wire.ErrTooLarge. A download response is decoded as it streams and
+// has no such bound.
 type HTTPTransport struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8045".
 	BaseURL string
@@ -138,12 +143,12 @@ func (t HTTPTransport) Download(ctx context.Context, req *wire.DownloadRequest) 
 
 // FullHashes implements Transport.
 func (t HTTPTransport) FullHashes(ctx context.Context, req *wire.FullHashRequest) (*wire.FullHashResponse, error) {
-	body, err := t.post(ctx, sbserver.PathFullHash, req.Encode)
+	buf, err := t.postWhole(ctx, sbserver.PathFullHash, req.Encode, wire.MaxFullHashResponseWireBytes)
 	if err != nil {
 		return nil, err
 	}
-	defer body.Close() //nolint:errcheck // read-side close
-	return wire.DecodeFullHashResponse(body)
+	defer putResp(buf)
+	return wire.DecodeFullHashResponse(buf)
 }
 
 // FullHashesBatch issues several full-hash requests against the
@@ -161,12 +166,12 @@ func (t HTTPTransport) FullHashesBatch(ctx context.Context, reqs []*wire.FullHas
 		for i, req := range frame {
 			batch.Requests[i] = *req
 		}
-		body, err := t.post(ctx, sbserver.PathFullHashBatch, batch.Encode)
+		buf, err := t.postWhole(ctx, sbserver.PathFullHashBatch, batch.Encode, wire.MaxFullHashBatchResponseWireBytes)
 		if err != nil {
 			return nil, err
 		}
-		resp, err := wire.DecodeFullHashBatchResponse(body)
-		body.Close() //nolint:errcheck // read-side close
+		resp, err := wire.DecodeFullHashBatchResponse(buf)
+		putResp(buf)
 		if err != nil {
 			return nil, err
 		}
@@ -178,4 +183,44 @@ func (t HTTPTransport) FullHashesBatch(ctx context.Context, reqs []*wire.FullHas
 		}
 	}
 	return out, nil
+}
+
+// respPool recycles the buffers full-hash responses are read into.
+// A decoded message holds no reference to its buffer.
+var respPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledResp is the largest buffer put back in respPool; one grown
+// past it by a rare large response is left to the collector.
+const maxPooledResp = 64 << 10
+
+func putResp(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledResp {
+		respPool.Put(buf)
+	}
+}
+
+// postWhole posts like post, then reads the whole response body, at
+// most limit bytes, into a pooled buffer and closes it. A body past
+// limit fails with an error wrapping wire.ErrTooLarge, having held no
+// more than limit+1 bytes of it.
+func (t HTTPTransport) postWhole(ctx context.Context, path string, encode func(io.Writer) error, limit int64) (*bytes.Buffer, error) {
+	body, err := t.post(ctx, path, encode)
+	if err != nil {
+		return nil, err
+	}
+	buf := respPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err = buf.ReadFrom(io.LimitReader(body, limit+1))
+	body.Close() //nolint:errcheck // read-side close
+	switch {
+	case err != nil:
+		err = fmt.Errorf("sbclient: read %s response: %w", path, err)
+	case int64(buf.Len()) > limit:
+		err = fmt.Errorf("sbclient: %s response exceeds %d bytes: %w", path, limit, wire.ErrTooLarge)
+	}
+	if err != nil {
+		putResp(buf)
+		return nil, err
+	}
+	return buf, nil
 }

@@ -1,9 +1,13 @@
 package sbserver
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"log"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"sbprivacy/internal/wire"
 )
@@ -33,10 +37,14 @@ func WithLimiter(l *Limiter) HandlerOption {
 // Handler exposes the server over HTTP. Requests and responses use the
 // binary wire format with content type application/octet-stream.
 // Request bodies are capped at the maximum encoded size of each
-// message (http.MaxBytesReader over the wire-format bounds), so a
-// client cannot stream an unbounded body at a decoder: anything larger
-// necessarily violates a field limit and would be rejected anyway.
-// Options add server-side overload controls (WithLimiter).
+// message (http.MaxBytesReader over the wire-format bounds) and read
+// whole before decoding, so a client cannot stream an unbounded body at
+// a decoder: a body over the cap is refused whole with 400, even when
+// it starts with a valid message, and records no probe. Full-hash
+// responses are encoded whole and sent with one Write and a
+// Content-Length; a download response streams, since its size grows
+// with the list. Options add server-side overload controls
+// (WithLimiter).
 func Handler(s *Server, opts ...HandlerOption) http.Handler {
 	var cfg handlerConfig
 	for _, o := range opts {
@@ -44,12 +52,12 @@ func Handler(s *Server, opts ...HandlerOption) http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathDownloads, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		buf, ok := readBody(w, r, wire.MaxDownloadRequestWireBytes)
+		if !ok {
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, wire.MaxDownloadRequestWireBytes)
-		req, err := wire.DecodeDownloadRequest(r.Body)
+		defer putBuffer(buf)
+		req, err := wire.DecodeDownloadRequest(buf)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -72,12 +80,12 @@ func Handler(s *Server, opts ...HandlerOption) http.Handler {
 		}
 	})
 	mux.HandleFunc(PathFullHash, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		buf, ok := readBody(w, r, wire.MaxFullHashRequestWireBytes)
+		if !ok {
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, wire.MaxFullHashRequestWireBytes)
-		req, err := wire.DecodeFullHashRequest(r.Body)
+		defer putBuffer(buf)
+		req, err := wire.DecodeFullHashRequest(buf)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -87,18 +95,15 @@ func Handler(s *Server, opts ...HandlerOption) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := resp.Encode(w); err != nil {
-			log.Printf("sbserver: encode fullhash response: %v", err)
-		}
+		writeBody(w, buf, resp.Encode)
 	})
 	mux.HandleFunc(PathFullHashBatch, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		buf, ok := readBody(w, r, wire.MaxFullHashBatchRequestWireBytes)
+		if !ok {
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, wire.MaxFullHashBatchRequestWireBytes)
-		batch, err := wire.DecodeFullHashBatchRequest(r.Body)
+		defer putBuffer(buf)
+		batch, err := wire.DecodeFullHashBatchRequest(buf)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -116,13 +121,60 @@ func Handler(s *Server, opts ...HandlerOption) http.Handler {
 		for i, resp := range resps {
 			out.Responses[i] = *resp
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := out.Encode(w); err != nil {
-			log.Printf("sbserver: encode fullhash batch response: %v", err)
-		}
+		writeBody(w, buf, out.Encode)
 	})
 	if cfg.limiter != nil {
 		return cfg.limiter.Wrap(mux)
 	}
 	return mux
+}
+
+// bufferPool recycles the buffers that hold one request body and then
+// its full-hash response.
+var bufferPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBuffer is the largest buffer put back in bufferPool; one
+// grown past it by a rare large message is left to the collector.
+const maxPooledBuffer = 64 << 10
+
+func putBuffer(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuffer {
+		bufferPool.Put(buf)
+	}
+}
+
+// readBody answers anything but a POST with 405 and otherwise reads the
+// whole request body, at most limit bytes, into a pooled buffer. A body
+// over limit is answered 400 and no part of it is decoded. ok is false
+// when the response has been written.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (buf *bytes.Buffer, ok bool) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return nil, false
+	}
+	buf = bufferPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		putBuffer(buf)
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	return buf, true
+}
+
+// writeBody encodes a message into buf, replacing what buf held, and
+// sends it with one Write and an explicit Content-Length, or answers
+// 500 if encoding fails.
+func writeBody(w http.ResponseWriter, buf *bytes.Buffer, encode func(io.Writer) error) {
+	buf.Reset()
+	if err := encode(buf); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		log.Printf("sbserver: write response: %v", err)
+	}
 }

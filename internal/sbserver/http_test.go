@@ -111,8 +111,7 @@ func TestHandlerServesBinaryResponses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("POST gethash: %v", err)
 	}
-	fresp, err := wire.DecodeFullHashResponse(resp.Body)
-	resp.Body.Close() //nolint:errcheck // test
+	fresp, err := wire.DecodeFullHashResponse(bytes.NewReader(wholeBody(t, resp)))
 	if err != nil {
 		t.Fatalf("decode fullhash response: %v", err)
 	}
@@ -162,6 +161,51 @@ func TestHandlerBatchFullHash(t *testing.T) {
 	if len(probes) != 2 || probes[0].ClientID != "alpha" || probes[1].ClientID != "beta" {
 		t.Errorf("probes = %+v", probes)
 	}
+
+	// A full frame of hits: its response is past net/http's 2 KiB
+	// chunking threshold, yet it must still go out as one body with a
+	// Content-Length.
+	full := wire.FullHashBatchRequest{Requests: make([]wire.FullHashRequest, wire.MaxBatchRequests)}
+	for i := range full.Requests {
+		full.Requests[i] = wire.FullHashRequest{ClientID: "gamma", Prefixes: []hashx.Prefix{hashx.SumPrefix("evil.example/")}}
+	}
+	body.Reset()
+	if err := full.Encode(&body); err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	resp, err = ts.Client().Post(ts.URL+PathFullHashBatch, "application/octet-stream", &body)
+	if err != nil {
+		t.Fatalf("POST batch: %v", err)
+	}
+	raw := wholeBody(t, resp)
+	if len(raw) <= 2048 {
+		t.Fatalf("full-frame response is %d bytes, want > 2048", len(raw))
+	}
+	if decoded, err = wire.DecodeFullHashBatchResponse(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("decode batch response: %v", err)
+	}
+	for i, r := range decoded.Responses {
+		if len(r.Entries) != 1 || r.Entries[0].Digest != hashx.Sum("evil.example/") {
+			t.Fatalf("responses[%d] = %+v", i, r)
+		}
+	}
+}
+
+// wholeBody reads and closes resp.Body, and fails the test unless the
+// body was sent in one piece: an explicit Content-Length equal to its
+// length and no chunked transfer encoding.
+func wholeBody(t *testing.T, resp *http.Response) []byte {
+	t.Helper()
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close() //nolint:errcheck // test
+	if err != nil {
+		t.Fatalf("read body: %v", err)
+	}
+	if resp.ContentLength != int64(len(raw)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("Content-Length %d, Transfer-Encoding %q for a %d-byte body; want the length and no chunking",
+			resp.ContentLength, resp.TransferEncoding, len(raw))
+	}
+	return raw
 }
 
 func TestHandlerUnknownPathIs404(t *testing.T) {

@@ -3,6 +3,7 @@ package sbserver
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -97,23 +98,47 @@ func TestHandlerCapsRequestBodies(t *testing.T) {
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
-	for path, limit := range map[string]int{
-		PathDownloads:     wire.MaxDownloadRequestWireBytes,
-		PathFullHash:      wire.MaxFullHashRequestWireBytes,
-		PathFullHashBatch: wire.MaxFullHashBatchRequestWireBytes,
+	encode := func(m interface{ Encode(io.Writer) error }) []byte {
+		var buf bytes.Buffer
+		if err := m.Encode(&buf); err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		return buf.Bytes()
+	}
+	req := wire.FullHashRequest{ClientID: "padded", Prefixes: []hashx.Prefix{1, 2}}
+	for path, tc := range map[string]struct {
+		limit int
+		valid []byte // a message the endpoint would answer 200 on its own
+	}{
+		PathDownloads:     {wire.MaxDownloadRequestWireBytes, nil},
+		PathFullHash:      {wire.MaxFullHashRequestWireBytes, encode(&req)},
+		PathFullHashBatch: {wire.MaxFullHashBatchRequestWireBytes, encode(&wire.FullHashBatchRequest{Requests: []wire.FullHashRequest{req}})},
 	} {
 		// A valid header followed by padding far past the cap: the body
 		// reader must cut the request off rather than buffer it all.
-		body := make([]byte, limit+4096)
-		body[0] = wire.Magic
-		body[1] = wire.Version
-		resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("POST %s: %v", path, err)
+		header := make([]byte, tc.limit+4096)
+		header[0] = wire.Magic
+		header[1] = wire.Version
+		bodies := map[string][]byte{"valid header": header}
+		if tc.valid != nil {
+			// A whole valid message padded past the cap: decoding only
+			// its prefix would answer 200 and record a probe, so the
+			// body must be refused whole.
+			bodies["valid message"] = append(append([]byte(nil), tc.valid...), make([]byte, tc.limit)...)
 		}
-		resp.Body.Close() //nolint:errcheck // test response
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s with %d-byte body: status %d, want 400", path, len(body), resp.StatusCode)
+		for name, body := range bodies {
+			before := s.ProbeStats().Received
+			resp, err := http.Post(ts.URL+path, "application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("POST %s: %v", path, err)
+			}
+			resp.Body.Close() //nolint:errcheck // test response
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST %s with %s padded to %d bytes: status %d, want 400", path, name, len(body), resp.StatusCode)
+			}
+			if after := s.ProbeStats().Received; after != before {
+				t.Errorf("POST %s with %s padded to %d bytes: probes received %d -> %d, want unchanged", path, name, len(body), before, after)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"testing"
 
 	"sbprivacy/internal/hashx"
@@ -133,5 +134,74 @@ func TestProbeRecordHotPathAllocs(t *testing.T) {
 	}
 	if fr.UnixNano != rec.UnixNano || string(fr.ClientID) != rec.ClientID || len(prefixes) != len(rec.Prefixes) {
 		t.Errorf("frame (%d, %q, %v), want %+v", fr.UnixNano, fr.ClientID, prefixes, rec)
+	}
+}
+
+// TestFullHashDecodeAllocs gates the decoders on a message held whole
+// in memory: a *bytes.Reader is read as it is, not through a new
+// bufio.Reader, and a list name repeated across a response's entries is
+// allocated once. So a 64-entry one-list response allocates exactly as
+// much as a 1-entry one, and a 64-request batch pays only each
+// sub-request's cookie and prefix slice. The pins are the counts
+// measured when the gate landed (measured-or-better).
+func TestFullHashDecodeAllocs(t *testing.T) {
+	resp := func(n int) []byte {
+		m := FullHashResponse{CacheSeconds: 300, Entries: make([]FullHashEntry, n)}
+		for i := range m.Entries {
+			m.Entries[i] = FullHashEntry{List: "goog-malware-shavar", Digest: hashx.Sum(fmt.Sprintf("e%d.example/", i))}
+		}
+		var buf bytes.Buffer
+		if err := m.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	decodeAllocs := func(raw []byte, decode func(*bytes.Reader) error) float64 {
+		var src bytes.Reader
+		return testing.AllocsPerRun(200, func() {
+			src.Reset(raw)
+			if err := decode(&src); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	var last *FullHashResponse
+	decodeResp := func(r *bytes.Reader) (err error) {
+		last, err = DecodeFullHashResponse(r)
+		return err
+	}
+
+	const respAllocs = 4 // reader, response, entry slice, the one list name
+	one := decodeAllocs(resp(1), decodeResp)
+	many := decodeAllocs(resp(64), decodeResp)
+	if one != respAllocs || many != respAllocs {
+		t.Errorf("FullHashResponse decode: 1 entry %v allocs, 64 entries %v allocs, want %d for both", one, many, respAllocs)
+	}
+	if len(last.Entries) != 64 {
+		t.Fatalf("decoded %d entries, want 64", len(last.Entries))
+	}
+	for i, e := range last.Entries {
+		if e.List != "goog-malware-shavar" || e.Digest != hashx.Sum(fmt.Sprintf("e%d.example/", i)) {
+			t.Fatalf("entry %d = %+v", i, e)
+		}
+	}
+
+	batch := FullHashBatchRequest{Requests: make([]FullHashRequest, MaxBatchRequests)}
+	for i := range batch.Requests {
+		batch.Requests[i] = FullHashRequest{ClientID: fmt.Sprintf("cookie-%d", i),
+			Prefixes: []hashx.Prefix{hashx.Prefix(i), hashx.Prefix(i + 1)}}
+	}
+	var buf bytes.Buffer
+	if err := batch.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const batchConst = 3 // reader, batch, request slice
+	got := decodeAllocs(buf.Bytes(), func(r *bytes.Reader) error {
+		_, err := DecodeFullHashBatchRequest(r)
+		return err
+	})
+	if want := float64(2*MaxBatchRequests + batchConst); got > want {
+		t.Errorf("FullHashBatchRequest decode of %d requests: %v allocs, want <= %v (2 per request + %d)",
+			MaxBatchRequests, got, want, batchConst)
 	}
 }

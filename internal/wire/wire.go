@@ -93,6 +93,21 @@ const (
 		MaxBatchRequests*(MaxFullHashRequestWireBytes-3)
 )
 
+// Upper bounds on the encoded size of each full-hash server→client
+// response the decoders would accept, derived the same way. Clients cap
+// what they read of a full-hash answer with these, so a provider cannot
+// stream an unbounded body at them. Download responses have no such
+// bound: their size grows with the list.
+const (
+	// MaxFullHashResponseWireBytes bounds an encoded FullHashResponse.
+	MaxFullHashResponseWireBytes = 3 + maxVarint + maxVarint +
+		maxFullHashEntries*(maxVarint+maxStringLen+hashx.DigestSize)
+	// MaxFullHashBatchResponseWireBytes bounds an encoded
+	// FullHashBatchResponse.
+	MaxFullHashBatchResponseWireBytes = 3 + maxVarint +
+		MaxBatchRequests*(MaxFullHashResponseWireBytes-3)
+)
+
 // Errors returned by decoders.
 var (
 	ErrBadMagic   = errors.New("wire: bad magic byte")
@@ -196,7 +211,9 @@ func (e *writer) uvarint(v uint64) {
 
 func (e *writer) str(s string) {
 	e.uvarint(uint64(len(s)))
-	e.bytes([]byte(s))
+	if e.err == nil {
+		_, e.err = io.WriteString(e.w, s)
+	}
 }
 
 //sbcheck:hotpath
@@ -206,13 +223,38 @@ func (e *writer) prefix(p hashx.Prefix) {
 	e.bytes(e.scratch[:n])
 }
 
+// byteReader is what a reader decodes from. A *bytes.Reader or
+// *bytes.Buffer already is one and is read as it is; any other stream
+// is put behind a bufio.Reader (see newReader).
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
 type reader struct {
-	r *bufio.Reader
-	// scratch backs the fixed-size reads (header, prefix, digest); a
-	// struct field sliced into io.ReadFull does not escape the way a
-	// local array does, keeping the per-record decodes allocation-free
-	// (see TestWireHotPathAllocs). Sized for the largest fixed field.
-	scratch [hashx.DigestSize]byte
+	r byteReader
+	// last is the string str returned most recently. A message repeats
+	// its strings (every entry of a one-list response names the same
+	// list), so str hands back last when the bytes are equal instead of
+	// allocating a copy per field.
+	last string
+	// scratch backs the fixed-size reads (header, prefix, digest) and
+	// the bodies of strings that fit; a struct field sliced into
+	// io.ReadFull does not escape the way a local array does, keeping
+	// the per-record decodes allocation-free (see TestWireHotPathAllocs).
+	// Cookies and list names fit; a longer string gets a buffer of its
+	// own rather than every decode zeroing maxStringLen bytes.
+	scratch [128]byte
+}
+
+// newReader reads from r directly when r is a byteReader (a message
+// already held whole in memory) and through a bufio.Reader otherwise.
+func newReader(r io.Reader) *reader {
+	br, ok := r.(byteReader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
+	return &reader{r: br}
 }
 
 func (d *reader) header(want MsgType) error {
@@ -242,16 +284,29 @@ func (d *reader) uvarint(limit uint64, what string) (uint64, error) {
 	return v, nil
 }
 
+// str reads a length-prefixed string. The "<what> length" label of a
+// bad length is built only on that error path.
 func (d *reader) str(what string) (string, error) {
-	n, err := d.uvarint(maxStringLen, what+" length")
+	n, err := binary.ReadUvarint(d.r)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("wire: read %s length: %w", what, err)
 	}
-	buf := make([]byte, n)
+	if n > maxStringLen {
+		return "", fmt.Errorf("%w: %s length = %d > %d", ErrTooLarge, what, n, maxStringLen)
+	}
+	var buf []byte
+	if n <= uint64(len(d.scratch)) {
+		buf = d.scratch[:n]
+	} else {
+		buf = make([]byte, n)
+	}
 	if _, err := io.ReadFull(d.r, buf); err != nil {
 		return "", fmt.Errorf("wire: read %s: %w", what, err)
 	}
-	return string(buf), nil
+	if string(buf) != d.last {
+		d.last = string(buf)
+	}
+	return d.last, nil
 }
 
 //sbcheck:hotpath
@@ -287,7 +342,7 @@ func (m *DownloadRequest) Encode(w io.Writer) error {
 
 // DecodeDownloadRequest reads a DownloadRequest from r.
 func DecodeDownloadRequest(r io.Reader) (*DownloadRequest, error) {
-	d := &reader{r: bufio.NewReader(r)}
+	d := newReader(r)
 	if err := d.header(MsgDownloadRequest); err != nil {
 		return nil, err
 	}
@@ -334,7 +389,7 @@ func (m *DownloadResponse) Encode(w io.Writer) error {
 
 // DecodeDownloadResponse reads a DownloadResponse from r.
 func DecodeDownloadResponse(r io.Reader) (*DownloadResponse, error) {
-	d := &reader{r: bufio.NewReader(r)}
+	d := newReader(r)
 	if err := d.header(MsgDownloadResponse); err != nil {
 		return nil, err
 	}
@@ -419,7 +474,7 @@ func (m *FullHashRequest) Encode(w io.Writer) error {
 
 // DecodeFullHashRequest reads a FullHashRequest from r.
 func DecodeFullHashRequest(r io.Reader) (*FullHashRequest, error) {
-	d := &reader{r: bufio.NewReader(r)}
+	d := newReader(r)
 	if err := d.header(MsgFullHashRequest); err != nil {
 		return nil, err
 	}
@@ -473,7 +528,7 @@ func (m *FullHashResponse) Encode(w io.Writer) error {
 
 // DecodeFullHashResponse reads a FullHashResponse from r.
 func DecodeFullHashResponse(r io.Reader) (*FullHashResponse, error) {
-	d := &reader{r: bufio.NewReader(r)}
+	d := newReader(r)
 	if err := d.header(MsgFullHashResponse); err != nil {
 		return nil, err
 	}
@@ -502,7 +557,7 @@ func (m *FullHashBatchRequest) Encode(w io.Writer) error {
 
 // DecodeFullHashBatchRequest reads a FullHashBatchRequest from r.
 func DecodeFullHashBatchRequest(r io.Reader) (*FullHashBatchRequest, error) {
-	d := &reader{r: bufio.NewReader(r)}
+	d := newReader(r)
 	if err := d.header(MsgFullHashBatchRequest); err != nil {
 		return nil, err
 	}
@@ -535,7 +590,7 @@ func (m *FullHashBatchResponse) Encode(w io.Writer) error {
 
 // DecodeFullHashBatchResponse reads a FullHashBatchResponse from r.
 func DecodeFullHashBatchResponse(r io.Reader) (*FullHashBatchResponse, error) {
-	d := &reader{r: bufio.NewReader(r)}
+	d := newReader(r)
 	if err := d.header(MsgFullHashBatchResponse); err != nil {
 		return nil, err
 	}

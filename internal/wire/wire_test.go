@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -142,6 +143,38 @@ func TestDecodeRejectsOversizedFields(t *testing.T) {
 	buf.Write([]byte{0x90, 0x4e}) // uvarint 10000
 	if _, err := DecodeFullHashRequest(&buf); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized prefix count: err = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestStringLengthsRoundTrip covers both of the reader's string paths
+// (through its scratch array, and a buffer of its own past it) and the
+// reuse of a repeated string: every length up to maxStringLen survives,
+// in any order, and one past it is refused.
+func TestStringLengthsRoundTrip(t *testing.T) {
+	t.Parallel()
+	var resp FullHashResponse
+	for _, n := range []int{0, 1, 127, 128, 128, 129, 129, 1, maxStringLen, maxStringLen, 0} {
+		resp.Entries = append(resp.Entries, FullHashEntry{List: strings.Repeat(string(rune('a'+n%26)), n)})
+	}
+	var buf bytes.Buffer
+	if err := resp.Encode(&buf); err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	got, err := DecodeFullHashResponse(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if !reflect.DeepEqual(got.Entries, resp.Entries) {
+		t.Errorf("entries differ after a round trip")
+	}
+
+	buf.Reset()
+	req := FullHashRequest{ClientID: strings.Repeat("x", maxStringLen+1)}
+	if err := req.Encode(&buf); err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	if _, err := DecodeFullHashRequest(&buf); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("client id of %d bytes: err = %v, want ErrTooLarge", maxStringLen+1, err)
 	}
 }
 
