@@ -11,9 +11,9 @@ import (
 
 // TestIntegrationCampaignMatchesOfflineReplay is the multi-day
 // acceptance scenario: a synthetic campaign drives the full
-// client/server stack with a live longitudinal correlator subscribed
+// client/server stack with a live unbounded linkage stage subscribed
 // while a probe store persists the stream; replaying the store offline
-// into a fresh correlator must reproduce the live day-over-day report
+// into a fresh stage must reproduce the live day-over-day report
 // exactly — the stored log supports every longitudinal conclusion the
 // live wiretap does, days of browsing included.
 func TestIntegrationCampaignMatchesOfflineReplay(t *testing.T) {
@@ -34,10 +34,13 @@ func TestIntegrationCampaignMatchesOfflineReplay(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenProbeStore: %v", err)
 	}
-	index := sbprivacy.NewIndex(camp.IndexExpressions())
-	live := sbprivacy.NewLongitudinal(index, sbprivacy.LongitudinalConfig{})
+	linkage := func() *sbprivacy.LinkageStage {
+		return sbprivacy.NewLinkageStage(
+			sbprivacy.NewIndex(camp.IndexExpressions()), sbprivacy.LongitudinalConfig{}, 0)
+	}
+	live := linkage()
 
-	stats, err := camp.Run(ctx, store, live)
+	stats, err := camp.Run(ctx, store, sbprivacy.NewStreamPipeline(live))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -54,18 +57,14 @@ func TestIntegrationCampaignMatchesOfflineReplay(t *testing.T) {
 	}
 
 	// Offline path: reopen the store read-only — a later process — and
-	// replay into a fresh correlator over a freshly built index.
+	// replay into a fresh stage over a freshly built index.
 	ro, err := sbprivacy.OpenProbeStore(dir, sbprivacy.ProbeStoreReadOnly())
 	if err != nil {
 		t.Fatalf("reopen read-only: %v", err)
 	}
-	offline := sbprivacy.NewLongitudinal(
-		sbprivacy.NewIndex(camp.IndexExpressions()), sbprivacy.LongitudinalConfig{})
-	if err := ro.Replay(func(p sbprivacy.Probe) error {
-		offline.Observe(p)
-		return nil
-	}); err != nil {
-		t.Fatalf("Replay: %v", err)
+	offline := linkage()
+	if err := sbprivacy.StreamReplay(ro, sbprivacy.NewStreamPipeline(offline)); err != nil {
+		t.Fatalf("StreamReplay: %v", err)
 	}
 	offlineReport := offline.Report()
 	if !reflect.DeepEqual(liveReport, offlineReport) {

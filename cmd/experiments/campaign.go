@@ -12,7 +12,7 @@ import (
 
 	"sbprivacy/internal/core"
 	"sbprivacy/internal/probestore"
-	"sbprivacy/internal/sbserver"
+	"sbprivacy/internal/stream"
 	"sbprivacy/internal/workload"
 )
 
@@ -29,7 +29,7 @@ type campaignOptions struct {
 
 // runCampaign is the -campaign mode: generate a deterministic multi-day
 // synthetic workload, drive it through the real client/server stack
-// with a probe store and a live longitudinal correlator subscribed,
+// with a probe store and a live day-over-day linkage stage subscribed,
 // print the day-over-day re-identification report with its ground-truth
 // score, and finally verify that replaying the persisted store offline
 // reproduces the live report exactly. The store directory is left in
@@ -73,8 +73,7 @@ func runCampaign(w io.Writer, opts campaignOptions) error {
 		return errors.Join(err, store.Close())
 	}
 
-	index := core.NewIndex(camp.IndexExpressions())
-	live := core.NewLongitudinal(index, opts.linkage)
+	live := linkagePipeline(camp, opts.linkage)
 
 	stats, err := camp.Run(context.Background(), store, live)
 	if err != nil {
@@ -88,7 +87,7 @@ func runCampaign(w io.Writer, opts campaignOptions) error {
 	fmt.Fprintf(w, "probe store %s: %d records in %d segments (%d bytes)\n\n",
 		dir, st.Persisted, st.Segments, st.LiveBytes)
 
-	liveReport := live.Report()
+	liveReport := live.Snapshot()[0].Report.(*core.LongitudinalReport)
 	fmt.Fprint(w, liveReport)
 
 	// Score the linkage against the campaign's ground truth: the
@@ -175,18 +174,21 @@ func writeIndexFile(path string, exprs []string) error {
 	return nil
 }
 
+// linkagePipeline builds the campaign's analysis over a freshly built
+// index: one unbounded day-over-day linkage stage.
+func linkagePipeline(camp *workload.Campaign, linkage core.LongitudinalConfig) *stream.Pipeline {
+	return stream.NewPipeline(stream.NewLinkageStage(core.NewIndex(camp.IndexExpressions()), linkage, 0))
+}
+
 // replayLongitudinal opens the store read-only and replays every probe
-// into a fresh correlator over a freshly built index.
+// into a fresh linkage pipeline.
 func replayLongitudinal(dir string, camp *workload.Campaign, linkage core.LongitudinalConfig) (*core.LongitudinalReport, error) {
 	ro, err := probestore.Open(dir, probestore.ReadOnly())
 	if err != nil {
 		return nil, err
 	}
-	l := core.NewLongitudinal(core.NewIndex(camp.IndexExpressions()), linkage)
-	if err := ro.Replay(func(p sbserver.Probe) error {
-		l.Observe(p)
-		return nil
-	}); err != nil {
+	pl := linkagePipeline(camp, linkage)
+	if err := stream.Replay(ro, pl); err != nil {
 		return nil, errors.Join(err, ro.Close())
 	}
 	// Close surfaces errors noted during the read-only session (the
@@ -194,5 +196,5 @@ func replayLongitudinal(dir string, camp *workload.Campaign, linkage core.Longit
 	if err := ro.Close(); err != nil {
 		return nil, err
 	}
-	return l.Report(), nil
+	return pl.Snapshot()[0].Report.(*core.LongitudinalReport), nil
 }

@@ -26,7 +26,7 @@ import (
 // linked chains, and the eviction accounting that proves resident state
 // stays bounded. SIGINT/SIGTERM (or -exit-idle seconds of silence)
 // stops the tail and prints the final snapshot.
-func runLive(dir, indexFile string, windowDays int, refresh, poll time.Duration, snapshotOut string, exitIdle time.Duration) int {
+func runLive(dir, indexFile string, windowDays int, linkage core.LongitudinalConfig, refresh, poll time.Duration, snapshotOut string, exitIdle time.Duration) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -65,9 +65,7 @@ func runLive(dir, indexFile string, windowDays int, refresh, poll time.Duration,
 		return 1
 	}
 
-	re := stream.NewReidentStage(index, windowDays)
-	link := stream.NewLinkageStage(index, core.LongitudinalConfig{}, windowDays)
-	pl := stream.NewPipeline(re, link)
+	pl := newPipeline(index, windowDays, true, linkage)
 
 	// lastDelivery tracks wall time of the newest probe, for -exit-idle.
 	var lastDelivery atomic.Int64
@@ -202,22 +200,16 @@ func renderDashboard(out io.Writer, clear bool, dir string, windowDays int, obse
 
 // renderSnapshotStages renders a pipeline snapshot as the canonical
 // final-snapshot text: one titled section per stage, the stage report
-// verbatim. Batch mode (-probe-store -snapshot-out) renders the same
-// layout from the batch sinks, so live-vs-batch comparison is a byte
-// diff.
+// verbatim. Live and replay mode both write it for -snapshot-out, so
+// live-vs-batch comparison is a byte diff.
 func renderSnapshotStages(snaps []stream.StageSnapshot) string {
 	var b strings.Builder
 	for _, s := range snaps {
-		writeSnapshotSection(&b, s.Name, s.Report)
+		fmt.Fprintf(&b, "== %s ==\n", s.Name)
+		b.WriteString(s.Report.String())
+		if !strings.HasSuffix(b.String(), "\n") {
+			b.WriteByte('\n')
+		}
 	}
 	return b.String()
-}
-
-// writeSnapshotSection appends one canonical snapshot section.
-func writeSnapshotSection(b *strings.Builder, name string, report fmt.Stringer) {
-	fmt.Fprintf(b, "== %s ==\n", name)
-	b.WriteString(report.String())
-	if !strings.HasSuffix(b.String(), "\n") {
-		b.WriteByte('\n')
-	}
 }

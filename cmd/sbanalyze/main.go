@@ -55,19 +55,24 @@
 // -follow-poll tunes how often an idle tail re-checks the directory
 // (default 50ms); it applies to -follow and -live.
 //
+// Replay, follow and live mode all drive the same streaming pipeline
+// of internal/stream; replay and follow run it unbounded.
+//
 // Live dashboard mode (-live) tails a store directory another process
 // is writing — "experiments -campaign" mid-run, a serving sbserver —
-// through the windowed streaming pipeline of internal/stream and
-// redraws a rolling dashboard every -refresh seconds: per-window
-// re-identification rate, top linked identity chains, and the
-// eviction counters that bound resident state to the newest -window
-// days. The index defaults to DIR/index.urls (the campaign writes it
-// before its first probe). SIGINT, SIGTERM, or -exit-idle seconds of
-// feed silence stop the tail and print the final snapshot;
-// -snapshot-out writes that snapshot's canonical text to a file, and
-// the same flag in replay mode (-probe-store -index [-longitudinal])
-// writes the batch analyzers' reports in the identical layout, so
-// live-vs-batch equivalence on a sealed store is a byte diff:
+// through that pipeline, windowed, and redraws a rolling dashboard
+// every -refresh seconds: per-window re-identification rate, top
+// linked identity chains, and the eviction counters that bound
+// resident state to the newest -window days. The index defaults to DIR/index.urls (the campaign writes it
+// before its first probe); -min-shared, -min-shared-urls and
+// -min-link-score set the linkage thresholds as in replay mode, and
+// -since, -until and -client do not apply. SIGINT, SIGTERM, or
+// -exit-idle seconds of feed silence stop the tail and print the final
+// snapshot; -snapshot-out writes that snapshot's canonical text to a
+// file, and the same flag in replay mode (-probe-store -index
+// [-longitudinal]) writes the replayed snapshot in the identical
+// layout, so live-vs-batch equivalence on a sealed store is a byte
+// diff:
 //
 //	sbanalyze -live /tmp/sb-campaign-X -window 7 -refresh 2
 //	sbanalyze -live /tmp/sb-campaign-X -exit-idle 5 -snapshot-out live.txt
@@ -77,6 +82,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -90,37 +96,44 @@ import (
 	"sbprivacy/internal/core"
 	"sbprivacy/internal/probestore"
 	"sbprivacy/internal/sbserver"
+	"sbprivacy/internal/stream"
 	"sbprivacy/internal/urlx"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
 	var (
-		provider     = flag.String("provider", "yandex", "google or yandex")
-		scale        = flag.Int("scale", 100, "scale divisor")
-		seed         = flag.Int64("seed", 2015, "generation seed")
-		storeDir     = flag.String("probe-store", "", "replay a persisted probe log from this directory instead of auditing blacklists")
-		followDir    = flag.String("follow", "", "tail a live probe-store directory, streaming probes until SIGINT")
-		indexFile    = flag.String("index", "", "file of URLs (one per line) forming the provider's web index for re-identification")
-		client       = flag.String("client", "", "print the probe history of one client cookie (replay/follow mode)")
-		since        = flag.String("since", "", "ignore probes before this time (RFC 3339 or 2006-01-02, UTC; replay/follow mode)")
-		until        = flag.String("until", "", "ignore probes at or after this time (RFC 3339 or 2006-01-02, UTC; replay/follow mode)")
-		liveDir      = flag.String("live", "", "rolling dashboard over a probe-store directory another process is writing (streaming pipeline; stop with SIGINT)")
-		windowDays   = flag.Int("window", 7, "live mode: sliding analysis window in days (0 = unbounded)")
-		refreshSecs  = flag.Int("refresh", 2, "live mode: dashboard refresh interval in seconds")
-		followPoll   = flag.Duration("follow-poll", probestore.DefaultFollowPoll, "idle poll interval of the store tail (follow/live mode)")
-		exitIdle     = flag.Int("exit-idle", 0, "live mode: exit once the feed has been idle this many seconds after at least one probe (0 = run until SIGINT)")
-		snapshotOut  = flag.String("snapshot-out", "", "write the canonical final-snapshot text to this file (live mode, or replay mode with -index)")
-		longitudinal = flag.Bool("longitudinal", false, "also run the day-over-day cookie-linkage analysis (needs -index; replay mode)")
-		correlator   = flag.String("correlator", "", "rules file for the temporal-correlation analysis over the replayed window (replay mode; see the package comment for the line format)")
-		minShared    = flag.Int("min-shared", 0, "longitudinal: least shared profile elements per link (0 = default)")
-		minSharedURL = flag.Int("min-shared-urls", 0, "longitudinal: least shared exact URLs per link (0 = default, negative allows none)")
-		minLinkScore = flag.Float64("min-link-score", 0, "longitudinal: least overlap-coefficient score per link (0 = default)")
+		provider     = fs.String("provider", "yandex", "google or yandex")
+		scale        = fs.Int("scale", 100, "scale divisor")
+		seed         = fs.Int64("seed", 2015, "generation seed")
+		storeDir     = fs.String("probe-store", "", "replay a persisted probe log from this directory instead of auditing blacklists")
+		followDir    = fs.String("follow", "", "tail a live probe-store directory, streaming probes until SIGINT")
+		indexFile    = fs.String("index", "", "file of URLs (one per line) forming the provider's web index for re-identification")
+		client       = fs.String("client", "", "print the probe history of one client cookie (replay/follow mode)")
+		since        = fs.String("since", "", "ignore probes before this time (RFC 3339 or 2006-01-02, UTC; replay/follow mode)")
+		until        = fs.String("until", "", "ignore probes at or after this time (RFC 3339 or 2006-01-02, UTC; replay/follow mode)")
+		liveDir      = fs.String("live", "", "rolling dashboard over a probe-store directory another process is writing (streaming pipeline; stop with SIGINT)")
+		windowDays   = fs.Int("window", 7, "live mode: sliding analysis window in days (0 = unbounded)")
+		refreshSecs  = fs.Int("refresh", 2, "live mode: dashboard refresh interval in seconds")
+		followPoll   = fs.Duration("follow-poll", probestore.DefaultFollowPoll, "idle poll interval of the store tail (follow/live mode)")
+		exitIdle     = fs.Int("exit-idle", 0, "live mode: exit once the feed has been idle this many seconds after at least one probe (0 = run until SIGINT)")
+		snapshotOut  = fs.String("snapshot-out", "", "write the canonical final-snapshot text to this file (live mode, or replay mode with -index)")
+		longitudinal = fs.Bool("longitudinal", false, "also run the day-over-day cookie-linkage analysis (needs -index; replay mode)")
+		correlator   = fs.String("correlator", "", "rules file for the temporal-correlation analysis over the replayed window (replay mode; see the package comment for the line format)")
+		minShared    = fs.Int("min-shared", 0, "longitudinal: least shared profile elements per link (0 = default)")
+		minSharedURL = fs.Int("min-shared-urls", 0, "longitudinal: least shared exact URLs per link (0 = default, negative allows none)")
+		minLinkScore = fs.Float64("min-link-score", 0, "longitudinal: least overlap-coefficient score per link (0 = default)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	modes := 0
 	for _, m := range []string{*followDir, *storeDir, *liveDir} {
@@ -149,8 +162,17 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "sbanalyze: -correlator needs -probe-store")
 		return 2
 	}
+	if *storeDir == "" && *followDir == "" && (*since != "" || *until != "" || *client != "") {
+		fmt.Fprintln(os.Stderr, "sbanalyze: -since, -until and -client apply to -probe-store or -follow mode")
+		return 2
+	}
+	linkage := core.LongitudinalConfig{
+		MinShared:     *minShared,
+		MinSharedURLs: *minSharedURL,
+		MinLinkScore:  *minLinkScore,
+	}
 	if *liveDir != "" {
-		return runLive(*liveDir, *indexFile, *windowDays,
+		return runLive(*liveDir, *indexFile, *windowDays, linkage,
 			time.Duration(*refreshSecs)*time.Second, *followPoll,
 			*snapshotOut, time.Duration(*exitIdle)*time.Second)
 	}
@@ -158,16 +180,7 @@ func run() int {
 		return runFollow(*followDir, *indexFile, *client, window, *followPoll)
 	}
 	if *storeDir != "" {
-		linkage := core.LongitudinalConfig{
-			MinShared:     *minShared,
-			MinSharedURLs: *minSharedURL,
-			MinLinkScore:  *minLinkScore,
-		}
 		return runReplay(*storeDir, *indexFile, *client, window, *longitudinal, linkage, *correlator, *snapshotOut)
-	}
-	if *since != "" || *until != "" {
-		fmt.Fprintln(os.Stderr, "sbanalyze: -since/-until apply to -probe-store or -follow mode")
-		return 2
 	}
 
 	var p blacklist.Provider
@@ -355,19 +368,12 @@ func runReplay(dir, indexFile, client string, window func(time.Time) bool, longi
 			fmt.Fprintf(os.Stderr, "sbanalyze: load index %s: %v\n", indexFile, err)
 			return 1
 		}
-		analyzer := core.NewAnalyzer(index)
-		var long *core.Longitudinal
-		if longitudinal {
-			long = core.NewLongitudinal(index, linkage)
-		}
+		pl := newPipeline(index, 0, longitudinal, linkage)
 		if err := store.Replay(func(p sbserver.Probe) error {
 			if !window(p.Time) {
 				return nil
 			}
-			analyzer.Observe(p)
-			if long != nil {
-				long.Observe(p)
-			}
+			pl.Observe(p)
 			if corr != nil {
 				corr.Observe(p)
 			}
@@ -377,27 +383,20 @@ func runReplay(dir, indexFile, client string, window func(time.Time) bool, longi
 			return 1
 		}
 		corrFed = corr != nil
-		rep := analyzer.Report()
+		snaps := pl.Snapshot()
+		rep := snaps[0].Report.(*core.Report)
 		fmt.Fprintf(w, "\n== re-identification over %d indexed URLs (%d clients) ==\n", n, len(rep.Clients))
 		w.Flush() //nolint:errcheck // interleave report after table
 		fmt.Print(rep)
-		var longRep *core.LongitudinalReport
-		if long != nil {
-			longRep = long.Report()
+		if longitudinal {
 			fmt.Printf("\n== day-over-day longitudinal analysis ==\n")
-			fmt.Print(longRep)
+			fmt.Print(snaps[1].Report)
 		}
+		// The canonical snapshot text is what -live writes for its final
+		// snapshot, so a live run and a batch replay of the same sealed
+		// store are comparable with a plain byte diff.
 		if snapshotOut != "" {
-			// The canonical snapshot text mirrors what -live writes for its
-			// final pipeline snapshot, section for section, so a live run
-			// and a batch replay of the same sealed store are comparable
-			// with a plain byte diff.
-			var b strings.Builder
-			writeSnapshotSection(&b, "reident", rep)
-			if longRep != nil {
-				writeSnapshotSection(&b, "linkage", longRep)
-			}
-			if err := os.WriteFile(snapshotOut, []byte(b.String()), 0o644); err != nil {
+			if err := os.WriteFile(snapshotOut, []byte(renderSnapshotStages(snaps)), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "sbanalyze: write snapshot: %v\n", err)
 				return 1
 			}
@@ -514,14 +513,14 @@ func runFollow(dir, indexFile, client string, window func(time.Time) bool, poll 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var analyzer *core.Analyzer
+	var pl *stream.Pipeline
 	if indexFile != "" {
 		index, n, err := loadIndex(indexFile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sbanalyze: load index %s: %v\n", indexFile, err)
 			return 1
 		}
-		analyzer = core.NewAnalyzer(index)
+		pl = newPipeline(index, 0, false, core.LongitudinalConfig{})
 		fmt.Fprintf(os.Stderr, "sbanalyze: following %s with a %d-URL index; stop with SIGINT\n", dir, n)
 	} else {
 		fmt.Fprintf(os.Stderr, "sbanalyze: following %s; stop with SIGINT\n", dir)
@@ -533,8 +532,8 @@ func runFollow(dir, indexFile, client string, window func(time.Time) bool, poll 
 			return nil
 		}
 		probes++
-		if analyzer != nil {
-			analyzer.Observe(p)
+		if pl != nil {
+			pl.Observe(p)
 		}
 		// Per-probe lines stream for a plain tail and for a -client
 		// watch (which composes with -index, like replay mode); an
@@ -542,7 +541,7 @@ func runFollow(dir, indexFile, client string, window func(time.Time) bool, poll 
 		if client != "" && p.ClientID != client {
 			return nil
 		}
-		if analyzer == nil || client != "" {
+		if pl == nil || client != "" {
 			fmt.Printf("%s\t%s\t%v\n",
 				p.Time.UTC().Format("2006-01-02T15:04:05.000Z"), p.ClientID, p.Prefixes)
 		}
@@ -553,12 +552,25 @@ func runFollow(dir, indexFile, client string, window func(time.Time) bool, poll 
 		return 1
 	}
 	fmt.Fprintf(os.Stderr, "sbanalyze: tail stopped after %d probes\n", probes)
-	if analyzer != nil {
-		rep := analyzer.Report()
+	if pl != nil {
+		rep := pl.Snapshot()[0].Report.(*core.Report)
 		fmt.Printf("\n== re-identification over the followed stream (%d clients) ==\n", len(rep.Clients))
 		fmt.Print(rep)
 	}
 	return 0
+}
+
+// newPipeline builds the analysis every index-backed mode drives:
+// re-identification, plus day-over-day linkage with the given
+// thresholds when longitudinal is set, both over the newest windowDays
+// UTC days (0 = unbounded). Replay, follow and live differ only in how
+// they feed it.
+func newPipeline(index *core.Index, windowDays int, longitudinal bool, linkage core.LongitudinalConfig) *stream.Pipeline {
+	stages := []stream.Stage{stream.NewReidentStage(index, windowDays)}
+	if longitudinal {
+		stages = append(stages, stream.NewLinkageStage(index, linkage, windowDays))
+	}
+	return stream.NewPipeline(stages...)
 }
 
 // loadIndex reads a URL-per-line file into the provider's web index.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"sbprivacy/internal/hashx"
 	"sbprivacy/internal/probestore"
 	"sbprivacy/internal/sbserver"
+	"sbprivacy/internal/workload"
 )
 
 func TestParseWindow(t *testing.T) {
@@ -178,5 +180,104 @@ func TestCorrelatorReplay(t *testing.T) {
 	out = capture(early)
 	if !strings.Contains(out, "0 events") {
 		t.Errorf("windowed correlation should fire nothing:\n%s", out)
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed. Swapping os.Stdout is process-wide, so callers must not run
+// in parallel with other tests that print.
+func captureStdout(t *testing.T, fn func() int) (string, int) {
+	t.Helper()
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatalf("Pipe: %v", err)
+	}
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	rc := fn()
+	w.Close() //nolint:errcheck // test pipe
+	os.Stdout = old
+	return string(<-out), rc
+}
+
+// TestLiveRejectsReplayOnlyFlags: -since, -until and -client select
+// probes in replay and follow mode; -live has no such filter, so it
+// refuses them instead of dropping them silently.
+func TestLiveRejectsReplayOnlyFlags(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	for _, extra := range [][]string{
+		{"-since", "2016-03-08"},
+		{"-until", "2016-03-09"},
+		{"-client", "victim"},
+	} {
+		args := append([]string{"-live", dir}, extra...)
+		if rc := run(args); rc != 2 {
+			t.Errorf("run %q = %d, want 2", args, rc)
+		}
+	}
+}
+
+// TestLiveHonoursLinkageFlags: with non-default linkage thresholds, the
+// -live final snapshot of a sealed campaign store is byte-identical to
+// the -probe-store -longitudinal snapshot taken with the same
+// thresholds, and those thresholds change the linkage.
+func TestLiveHonoursLinkageFlags(t *testing.T) {
+	camp, err := workload.Generate(workload.Config{Days: 4, Clients: 60, Seed: 42})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	dir := t.TempDir()
+	store, err := probestore.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if _, err := camp.Run(context.Background(), store); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	index := filepath.Join(dir, "index.urls")
+	if err := os.WriteFile(index, []byte(strings.Join(camp.IndexExpressions(), "\n")+"\n"), 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	all, err := parseWindow("", "")
+	if err != nil {
+		t.Fatalf("parseWindow: %v", err)
+	}
+	loose := core.LongitudinalConfig{MinShared: 2, MinSharedURLs: -1, MinLinkScore: 0.3}
+
+	snapshot := func(name string, fn func(out string) int) string {
+		t.Helper()
+		out := filepath.Join(t.TempDir(), name)
+		if printed, rc := captureStdout(t, func() int { return fn(out) }); rc != 0 {
+			t.Fatalf("%s: exit %d, output:\n%s", name, rc, printed)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return string(b)
+	}
+	batch := snapshot("batch", func(out string) int {
+		return runReplay(dir, index, "", all, true, loose, "", out)
+	})
+	batchDefault := snapshot("batch-default", func(out string) int {
+		return runReplay(dir, index, "", all, true, core.LongitudinalConfig{}, "", out)
+	})
+	live := snapshot("live", func(out string) int {
+		return runLive(dir, "", 0, loose, 10*time.Millisecond, time.Millisecond, out, 300*time.Millisecond)
+	})
+	if batch == batchDefault {
+		t.Fatal("bad scenario: the loose thresholds link exactly what the defaults do")
+	}
+	if live != batch {
+		t.Errorf("live snapshot with loose thresholds differs from the batch one:\n--- live ---\n%s--- batch ---\n%s", live, batch)
 	}
 }

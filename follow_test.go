@@ -23,8 +23,8 @@ func (c *countingSink) Observe(sbserver.Probe) { c.n.Add(1) }
 // TestIntegrationFollowMatchesLivePath is the follow-mode acceptance
 // scenario: a tail attached to the store directory BEFORE any traffic
 // exists receives every probe the serving process appends afterwards,
-// and an analyzer fed from that followed stream produces a report
-// deep-equal to the live analyzer's — the live wiretap, reconstructed
+// and a re-identification stage fed from that followed stream produces
+// a report deep-equal to the live stage's — the live wiretap, reconstructed
 // from nothing but the growing files.
 func TestIntegrationFollowMatchesLivePath(t *testing.T) {
 	t.Parallel()
@@ -49,8 +49,8 @@ func TestIntegrationFollowMatchesLivePath(t *testing.T) {
 	}
 	index := sbprivacy.NewIndex(indexed)
 
-	live := sbprivacy.NewProbeAnalyzer(index)
-	server.Subscribe(live)
+	live := sbprivacy.NewReidentStage(index, 0)
+	server.Subscribe(sbprivacy.NewStreamPipeline(live))
 	counter := &countingSink{}
 	server.Subscribe(counter)
 
@@ -69,17 +69,14 @@ func TestIntegrationFollowMatchesLivePath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenProbeStore read-only: %v", err)
 	}
-	followed := sbprivacy.NewProbeAnalyzer(index)
-	var followedCount atomic.Int64
+	followed := sbprivacy.NewReidentStage(index, 0)
+	followedPipeline := sbprivacy.NewStreamPipeline(followed)
 	followCtx, stopFollow := context.WithCancel(ctx)
 	defer stopFollow()
 	followErr := make(chan error, 1)
 	go func() {
-		followErr <- tailStore.Follow(followCtx, func(p sbprivacy.Probe) error {
-			followed.Observe(p)
-			followedCount.Add(1)
-			return nil
-		}, sbprivacy.WithFollowPoll(time.Millisecond))
+		followErr <- sbprivacy.StreamFollow(followCtx, tailStore, followedPipeline,
+			sbprivacy.WithFollowPoll(time.Millisecond))
 	}()
 
 	ts := httptest.NewServer(sbserver.Handler(server))
@@ -128,10 +125,10 @@ func TestIntegrationFollowMatchesLivePath(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(30 * time.Second)
-	for followedCount.Load() < want && time.Now().Before(deadline) {
+	for followedPipeline.Observed() < want && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := followedCount.Load(); got != want {
+	if got := followedPipeline.Observed(); got != want {
 		t.Fatalf("followed %d probes, want %d", got, want)
 	}
 	stopFollow()

@@ -8,12 +8,12 @@
 // Every grid cell replays the *same* deterministic campaign (same
 // world, same users, same visits at the same virtual times) with a
 // different sbclient.QueryPolicy installed on every client, into its
-// own probe store. The provider-side analyses (core.Analyzer
-// re-identification, core.Longitudinal day-over-day linkage) then score
-// each cell against the campaign's ground truth, and the report places
-// the privacy deltas next to the overhead each mitigation cost: extra
-// prefixes, extra requests, wire bytes, withheld lookups and consent
-// prompts. This is the instrument for the paper's central quantitative
+// own probe store. The provider-side analyses (re-identification and
+// day-over-day linkage, the two stages of one unbounded
+// stream.Pipeline) then score each cell against the campaign's ground
+// truth, and the report places the privacy deltas next to the overhead
+// each mitigation cost: extra prefixes, extra requests, wire bytes,
+// withheld lookups and consent prompts. This is the instrument for the paper's central quantitative
 // question about its own countermeasures: how much privacy does each
 // one buy, and at what price?
 //
@@ -37,6 +37,7 @@ import (
 	"sbprivacy/internal/probestore"
 	"sbprivacy/internal/sbclient"
 	"sbprivacy/internal/sbserver"
+	"sbprivacy/internal/stream"
 	"sbprivacy/internal/workload"
 )
 
@@ -274,10 +275,18 @@ func scoreLinkage(camp *workload.Campaign, rep *core.LongitudinalReport, transit
 	return s
 }
 
-// scoreCell assembles one provider model's Scoring from its analyses.
-func scoreCell(camp *workload.Campaign, long *core.Longitudinal, ana *core.Analyzer, transitions int) Scoring {
-	s := Scoring{Linkage: scoreLinkage(camp, long.Report(), transitions)}
-	for _, c := range ana.Report().Clients {
+// providerModel is one provider model's analyses of a cell: an
+// unbounded pipeline of the re-identification and linkage stages, so
+// each probe is scored against the index once.
+func providerModel(index *core.Index, linkage core.LongitudinalConfig) *stream.Pipeline {
+	return stream.NewPipeline(stream.NewReidentStage(index, 0), stream.NewLinkageStage(index, linkage, 0))
+}
+
+// scoreCell assembles one provider model's Scoring from its pipeline.
+func scoreCell(camp *workload.Campaign, model *stream.Pipeline, transitions int) Scoring {
+	snaps := model.Snapshot()
+	s := Scoring{Linkage: scoreLinkage(camp, snaps[1].Report.(*core.LongitudinalReport), transitions)}
+	for _, c := range snaps[0].Report.(*core.Report).Clients {
 		if len(c.ExactURLs) > 0 {
 			s.ReidentifiedCookies++
 		}
@@ -301,18 +310,13 @@ func runCell(ctx context.Context, camp *workload.Campaign, index *core.Index, ce
 	if err != nil {
 		return nil, fmt.Errorf("ablation: cell %s: %w", cell.Name, err)
 	}
-	long := core.NewLongitudinal(index, linkage)
-	ana := core.NewAnalyzer(index)
-	sinks := []sbserver.ProbeSink{store, long, ana}
+	naive := providerModel(index, linkage)
+	sinks := []sbserver.ProbeSink{store, naive}
 
-	var informedLong *core.Longitudinal
-	var informedAna *core.Analyzer
+	var informed *stream.Pipeline
 	if cell.DummyK > 0 {
-		informedLong = core.NewLongitudinal(index, linkage)
-		informedAna = core.NewAnalyzer(index)
-		sinks = append(sinks,
-			indexFilterSink{x: index, inner: informedLong},
-			indexFilterSink{x: index, inner: informedAna})
+		informed = providerModel(index, linkage)
+		sinks = append(sinks, indexFilterSink{x: index, inner: informed})
 	}
 
 	factory, oracle := policyFor(cell)
@@ -336,14 +340,14 @@ func runCell(ctx context.Context, camp *workload.Campaign, index *core.Index, ce
 			WireBytes:     stats.WireBytes,
 			Withheld:      stats.PrefixesWithheld,
 		},
-		Naive: scoreCell(camp, long, ana, transitions),
+		Naive: scoreCell(camp, naive, transitions),
 	}
 	if oracle != nil {
 		cr.Overhead.ConsentPrompts = oracle.Prompts()
 	}
-	if informedLong != nil {
-		informed := scoreCell(camp, informedLong, informedAna, transitions)
-		cr.Informed = &informed
+	if informed != nil {
+		s := scoreCell(camp, informed, transitions)
+		cr.Informed = &s
 	}
 	return cr, nil
 }

@@ -20,10 +20,13 @@ import (
 //
 // Longitudinal implements sbserver.ProbeSink, so it runs live
 // (subscribed to a server) or offline (fed from probestore.Replay).
-// Like Analyzer, its Report is a pure function of the observed probe
-// multiset: delivery order and interleaving do not change it, which is
-// what makes the campaign-path report and a pure replay over the
-// resulting store deeply equal. Safe for concurrent use.
+// Its Report is a pure function of the observed probe multiset:
+// delivery order and interleaving do not change it, which is what
+// makes the campaign-path report and a pure replay over the resulting
+// store deeply equal. Safe for concurrent use.
+//
+// New analyses drive stream.LinkageStage instead: at W = 0 it reports
+// exactly what this type does.
 type Longitudinal struct {
 	mu   sync.Mutex
 	x    *Index
@@ -183,9 +186,9 @@ type LongitudinalReport struct {
 	Chains []ChainReport
 }
 
-// Report snapshots the correlator's conclusions. Like Analyzer.Report
-// it is deterministic for a given probe multiset; live callers must
-// flush the server first so in-flight probes are included. The report
+// Report snapshots the correlator's conclusions. It is deterministic
+// for a given probe multiset; live callers must flush the server first
+// so in-flight probes are included. The report
 // building itself is BuildLongitudinalReport — the deterministic core
 // shared with the streaming linkage stage of internal/stream.
 func (l *Longitudinal) Report() *LongitudinalReport {

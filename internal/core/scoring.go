@@ -8,14 +8,13 @@ import (
 	"time"
 )
 
-// This file holds the scoring cores shared by the batch sinks
-// (Analyzer, Longitudinal) and the streaming stages of internal/stream:
-// the per-cookie re-identification tally, the per-(day, cookie) profile
-// tally, and the deterministic report builders over either. The batch
-// sinks keep their external behavior; the streaming stages hold the
-// same tallies in windowed, evictable state and call the same builders
-// over whatever is resident — which is what makes a streaming snapshot
-// deep-equal a batch run restricted to the same window.
+// This file holds the scoring cores of the streaming stages of
+// internal/stream (and of the Longitudinal reference correlator): the
+// per-cookie re-identification tally, the per-(day, cookie) profile
+// tally, and the deterministic report builders over either. The stages
+// hold the tallies in windowed, evictable state and call the builders
+// over whatever is resident — which is what makes a windowed snapshot
+// deep-equal an unbounded run restricted to the same window.
 
 // idCount is one entry of a counts multiset: an index id (a URL's or a
 // registrable domain's) and how many probes concluded it.
@@ -90,11 +89,11 @@ func (c counts) byCount(names []string) []NameCount {
 }
 
 // ClientTally is the per-cookie re-identification tally: how one
-// cookie's probes resolved against the web index. It is the scoring
-// core of Analyzer, also held per (day, cookie) by the streaming
-// reident stage so expired days can be evicted. Tallies are additive:
-// merging the per-day tallies of a window reproduces exactly the tally
-// a single batch pass over the window's probes would have built.
+// cookie's probes resolved against the web index. The streaming
+// reident stage holds one per cookie when unbounded and one per (day,
+// cookie) when windowed, so expired days can be evicted. Tallies are
+// additive: merging the per-day tallies of a window reproduces exactly
+// the tally a single pass over the window's probes would have built.
 // A tally counts the ids of one index's Scores, and only that index
 // can render it. Not safe for concurrent use; callers hold their own
 // lock.
@@ -165,10 +164,10 @@ func (t *ClientTally) Report(x *Index, clientID string) ClientReport {
 	}
 }
 
-// BuildClientReport renders a cookie→tally map as the analyzer's
-// deterministic report: one entry per cookie, sorted by cookie. Both
-// the batch Analyzer and the streaming reident stage end on this; x is
-// the index whose Scores the tallies counted.
+// BuildClientReport renders a cookie→tally map as the deterministic
+// per-client report: one entry per cookie, sorted by cookie. The
+// streaming reident stage ends on this; x is the index whose Scores
+// the tallies counted.
 func BuildClientReport(x *Index, clients map[string]*ClientTally) *Report {
 	rep := &Report{Clients: make([]ClientReport, 0, len(clients))}
 	for id, t := range clients {

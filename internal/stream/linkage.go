@@ -31,7 +31,7 @@ var _ Stage = (*LinkageStage)(nil)
 // least two resident days to link across, so windows below 2 report
 // days but never links.
 func NewLinkageStage(x *core.Index, cfg core.LongitudinalConfig, windowDays int) *LinkageStage {
-	return &LinkageStage{x: x, cfg: cfg, w: newWindowed[core.DayTally](windowDays)}
+	return &LinkageStage{x: x, cfg: cfg, w: newWindowed[core.DayTally](windowDays, false)}
 }
 
 // Name implements Stage.

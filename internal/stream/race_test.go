@@ -127,9 +127,9 @@ func TestFollowFanInUnderRace(t *testing.T) {
 }
 
 // TestSharedIndexConcurrentReaders: one *core.Index scores for a batch
-// Analyzer, a batch Longitudinal and a Pipeline at once, fed by four
-// goroutines over disjoint cookie shards of a campaign while a fifth
-// renders reports from it mid-flight. Afterwards every report must
+// Longitudinal and a Pipeline at once, fed by four goroutines over
+// disjoint cookie shards of a campaign while a fifth renders reports
+// from them mid-flight. Afterwards every report must
 // deep-equal a serial feed's. The pipeline is unwindowed: eviction
 // follows the order probes arrive in, which concurrent feeders do not
 // fix, while unwindowed state is a pure function of the probe multiset.
@@ -137,17 +137,15 @@ func TestSharedIndexConcurrentReaders(t *testing.T) {
 	t.Parallel()
 	x, probes := campaignFeed(t, 80, 7, 13)
 	type sinks struct {
-		a  *core.Analyzer
 		l  *core.Longitudinal
 		pl *Pipeline
 	}
 	newSinks := func() sinks {
 		pl, _, _ := newTestPipeline(x, 0)
-		return sinks{core.NewAnalyzer(x), core.NewLongitudinal(x, core.LongitudinalConfig{}), pl}
+		return sinks{core.NewLongitudinal(x, core.LongitudinalConfig{}), pl}
 	}
 	feed := func(s sinks, probes []sbserver.Probe) {
 		for _, p := range probes {
-			s.a.Observe(p)
 			s.l.Observe(p)
 			s.pl.Observe(p)
 		}
@@ -178,7 +176,6 @@ func TestSharedIndexConcurrentReaders(t *testing.T) {
 				return
 			default:
 			}
-			_ = conc.a.Report()
 			_ = conc.l.Report()
 			_ = conc.pl.Snapshot()
 		}
@@ -194,16 +191,10 @@ func TestSharedIndexConcurrentReaders(t *testing.T) {
 	close(done)
 	reader.Wait()
 
-	if got, want := conc.a.Report(), serial.a.Report(); !reflect.DeepEqual(got, want) {
-		t.Error("concurrent Analyzer report diverges from the serial feed's")
-	}
 	if got, want := conc.l.Report(), serial.l.Report(); !reflect.DeepEqual(got, want) {
 		t.Error("concurrent Longitudinal report diverges from the serial feed's")
 	}
 	if got, want := conc.pl.Snapshot(), serial.pl.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Error("concurrent pipeline snapshot diverges from the serial feed's")
-	}
-	if got, want := conc.pl.Snapshot()[0].Report, serial.a.Report(); !reflect.DeepEqual(got, want) {
-		t.Error("unwindowed reident snapshot diverges from the batch Analyzer")
 	}
 }

@@ -8,12 +8,15 @@ import (
 	"sbprivacy/internal/sbserver"
 )
 
-// ReidentStage is the streaming form of core.Analyzer: per-cookie
-// multi-prefix re-identification over a sliding window of UTC days.
-// State is one core.ClientTally per (day, cookie); Snapshot merges the
-// resident days per cookie — tallies are additive, so the merged
-// report deep-equals what a batch Analyzer would build from exactly
-// the window's probes. Safe for concurrent use.
+// ReidentStage is the paper's multi-prefix re-identification (Section
+// 6.1) per client cookie, over a sliding window of UTC days: each
+// probe's prefix set is resolved against the provider's web index and
+// the outcome tallied under the probe's cookie. State is one
+// core.ClientTally per (day, cookie); Snapshot merges the resident
+// days per cookie — tallies are additive, so the merged report
+// deep-equals a single tally per cookie over exactly the window's
+// probes. Unbounded (W = 0) the stage never evicts, so it keeps that
+// single tally per cookie from the start. Safe for concurrent use.
 type ReidentStage struct {
 	x  *core.Index
 	mu sync.Mutex
@@ -26,15 +29,14 @@ var _ Stage = (*ReidentStage)(nil)
 // provider's web index. windowDays bounds resident state to the newest
 // windowDays UTC days; 0 keeps everything (batch semantics).
 func NewReidentStage(x *core.Index, windowDays int) *ReidentStage {
-	return &ReidentStage{x: x, w: newWindowed[core.ClientTally](windowDays)}
+	return &ReidentStage{x: x, w: newWindowed[core.ClientTally](windowDays, true)}
 }
 
 // Name implements Stage.
 func (s *ReidentStage) Name() string { return "reident" }
 
 // Observe implements Stage: the probe is re-identified against the
-// index (outside the lock, like the batch Analyzer) and tallied under
-// its (day, cookie) bucket.
+// index (outside the lock) and tallied under its (day, cookie) bucket.
 func (s *ReidentStage) Observe(p sbserver.Probe) {
 	s.observeScored(p, s.x.Score(p.Prefixes))
 }
@@ -65,14 +67,18 @@ func (s *ReidentStage) Advance(t time.Time) {
 func (s *ReidentStage) Snapshot() Report { return s.Report() }
 
 // Report merges the resident day tallies per cookie and renders them
-// as the analyzer report. Merging is commutative, so the result is
+// as the per-client report. Merging is commutative, so the result is
 // independent of map iteration order; days are folded oldest-first
 // regardless.
 func (s *ReidentStage) Report() *core.Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	days := s.w.sortedDays()
+	if len(days) == 1 {
+		return core.BuildClientReport(s.x, s.w.days[days[0]])
+	}
 	merged := make(map[string]*core.ClientTally)
-	for _, d := range s.w.sortedDays() {
+	for _, d := range days {
 		for c, t := range s.w.days[d] {
 			m := merged[c]
 			if m == nil {

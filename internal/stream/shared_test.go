@@ -217,20 +217,24 @@ func TestPipelineObserveAllocs(t *testing.T) {
 }
 
 // BenchmarkPipelineObserve is the replay hot loop without the store: a
-// captured campaign feed through the two built-in stages at the
-// benchmark's 28-day window. ns/op and allocs/op are per probe.
+// captured campaign feed through the two built-in stages, unbounded
+// (the path replay, follow, the campaign and the ablation lab run) and
+// at the benchmark's 28-day window. ns/op and allocs/op are per probe.
 func BenchmarkPipelineObserve(b *testing.B) {
 	x, probes := campaignFeed(b, 300, 14, 9)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		// A fresh pipeline per pass keeps virtual time monotonic, so no
-		// pass degenerates into late drops.
-		pl := NewPipeline(NewReidentStage(x, 28), NewLinkageStage(x, core.LongitudinalConfig{}, 28))
-		for i := 0; i < len(probes) && done < b.N; i++ {
-			pl.Observe(probes[i])
-			done++
-		}
+	for _, window := range []int{0, 28} {
+		b.Run(fmt.Sprintf("W=%d", window), func(b *testing.B) {
+			b.ReportAllocs()
+			for done := 0; done < b.N; {
+				// A fresh pipeline per pass keeps virtual time monotonic,
+				// so no pass degenerates into late drops.
+				pl := NewPipeline(NewReidentStage(x, window), NewLinkageStage(x, core.LongitudinalConfig{}, window))
+				for i := 0; i < len(probes) && done < b.N; i++ {
+					pl.Observe(probes[i])
+					done++
+				}
+			}
+		})
 	}
 }
 

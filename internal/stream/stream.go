@@ -1,31 +1,33 @@
 //sbcheck:deterministic
 
-// Package stream is the incremental analysis pipeline: it scores a
-// probe feed at ingest speed with bounded memory, instead of buffering
-// everything and reporting at the end the way the batch sinks
-// (core.Analyzer, core.Longitudinal) do.
+// Package stream is the provider's analysis pipeline: it scores a
+// probe feed incrementally, at ingest speed, and is the one design
+// every analysis of the feed runs on — windowed with bounded memory,
+// or unbounded (W = 0) over a whole retained log.
 //
-// Analyzers are stages. A Stage consumes probes one at a time
+// Analyses are stages. A Stage consumes probes one at a time
 // (Observe), tracks a virtual-time watermark (Advance), and can render
 // its current conclusions at any moment (Snapshot). State is keyed by
 // UTC calendar day and bounded by a sliding window of W days: when the
 // watermark enters a new day, every day older than the window horizon
 // is evicted — deterministically, so two same-seed runs over the same
 // probe feed hold identical resident state and produce identical
-// snapshots, including past the horizon. Each stage accounts for its
-// own resident state (Stats.ResidentCookies, ResidentDays,
-// EvictedRecords), which is what lets a dashboard prove the memory
-// bound instead of asserting it.
+// snapshots, including past the horizon. At W = 0 nothing is evicted
+// (the batch semantics), and a stage whose report merges the days
+// keeps one tally per cookie. Each stage accounts for its own resident
+// state (Stats.ResidentCookies, ResidentDays, EvictedRecords), which
+// is what lets a dashboard prove the memory bound instead of asserting
+// it.
 //
 // A Pipeline fans one probe feed into N stages and implements
 // sbserver.ProbeSink, so the same pipeline is drivable from three
 // sources: subscribed live to a serving sbserver, batch over a sealed
 // store via Replay, or tailing a live store via Follow. The
-// correctness anchor: on a sealed store, a streaming pipeline's final
-// snapshot deep-equals the batch analyzers' reports over the same
-// window — the scoring cores (core.ClientTally, core.DayTally,
+// correctness anchor: over the same probes, the drivers agree, and a
+// windowed snapshot deep-equals an unbounded run fed only the window's
+// probes — the scoring cores (core.ClientTally, core.DayTally,
 // core.BuildClientReport, core.BuildLongitudinalReport) are shared, so
-// the two paths cannot drift apart.
+// the two cannot drift apart.
 package stream
 
 import (
@@ -38,8 +40,8 @@ import (
 
 // Report is a stage's point-in-time output. Concrete stages return
 // their domain report (e.g. *core.Report, *core.LongitudinalReport);
-// String renders it the way the batch tools print it, which is what
-// makes a streamed snapshot textually comparable to a batch run.
+// String renders it the way sbanalyze prints it, which is what makes a
+// live snapshot textually comparable to a replay.
 type Report interface {
 	String() string
 }
@@ -94,8 +96,8 @@ type Stage interface {
 }
 
 // Pipeline fans one probe feed into N stages. It implements
-// sbserver.ProbeSink, so it can subscribe to a live server exactly
-// like the batch sinks do; Replay and Follow drive it from a store.
+// sbserver.ProbeSink, so it can subscribe to a live server like any
+// other sink; Replay and Follow drive it from a store.
 //
 // The built-in stages all begin by scoring the probe against their
 // index (core.Index.Score), so the pipeline does that once per probe

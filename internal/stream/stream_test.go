@@ -63,32 +63,40 @@ func newTestPipeline(x *core.Index, window int) (*Pipeline, *ReidentStage, *Link
 	return NewPipeline(re, link), re, link
 }
 
-// TestUnboundedPipelineMatchesBatch is the core sharing contract: with
-// no window, a pipeline fed the same probes as the batch sinks must
-// snapshot reports that deep-equal the batch Analyzer and Longitudinal
-// — the scoring cores are literally shared.
+// TestUnboundedPipelineMatchesBatch is the core sharing contract:
+// with no window, the reident stage's one tally per cookie must
+// snapshot and account exactly like its day-keyed path under a window
+// wider than the feed, and the linkage stage must deep-equal the batch
+// Longitudinal fed the same probes — the scoring cores are literally
+// shared.
 func TestUnboundedPipelineMatchesBatch(t *testing.T) {
 	t.Parallel()
+	const days = 4
 	x := testIndex()
-	probes := scrollProbes(4)
+	probes := scrollProbes(days)
 
 	pl, re, link := newTestPipeline(x, 0)
-	batchRe := core.NewAnalyzer(x)
+	dayKeyed := NewReidentStage(x, days+1)
+	wide := NewPipeline(dayKeyed)
 	batchLink := core.NewLongitudinal(x, core.LongitudinalConfig{})
 	for _, p := range probes {
 		pl.Observe(p)
-		batchRe.Observe(p)
+		wide.Observe(p)
 		batchLink.Observe(p)
 	}
 
-	if got, want := re.Report(), batchRe.Report(); !reflect.DeepEqual(got, want) {
-		t.Errorf("reident snapshot diverges from batch analyzer:\ngot:\n%s\nwant:\n%s", got, want)
+	if got, want := pl.Snapshot()[0], wide.Snapshot()[0]; !reflect.DeepEqual(got, want) {
+		t.Errorf("unbounded reident diverges from the day-keyed path:\ngot:  %+v\n%s\nwant: %+v\n%s",
+			got.Stats, got.Report, want.Stats, want.Report)
 	}
 	if got, want := link.Report(), batchLink.Report(); !reflect.DeepEqual(got, want) {
 		t.Errorf("linkage snapshot diverges from batch longitudinal:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 	if got := pl.Observed(); got != int64(len(probes)) {
 		t.Errorf("pipeline observed %d probes, want %d", got, len(probes))
+	}
+	if st := re.Stats(); st.ResidentDays != days {
+		t.Errorf("unbounded reident ResidentDays = %d, want %d", st.ResidentDays, days)
 	}
 }
 
@@ -106,10 +114,12 @@ func TestWindowedSnapshotMatchesWindowRestrictedBatch(t *testing.T) {
 		pl.Observe(p)
 	}
 
-	// Batch sinks fed only probes on the resident days [totalDays-window,
-	// totalDays).
+	// References fed only probes on the resident days [totalDays-window,
+	// totalDays): an unbounded reident stage, which keeps one tally per
+	// cookie instead of one per (day, cookie), and the batch
+	// Longitudinal.
 	horizon := day(totalDays-window, 0)
-	batchRe := core.NewAnalyzer(x)
+	batchRe := NewReidentStage(x, 0)
 	batchLink := core.NewLongitudinal(x, core.LongitudinalConfig{})
 	inWindow := 0
 	for _, p := range probes {

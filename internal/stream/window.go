@@ -11,6 +11,12 @@ type windowed[T any] struct {
 	// window is the sliding window size in days; 0 means unbounded (no
 	// eviction — the batch semantics).
 	window int
+	// flat files every day under the one key 0, so unbounded state is
+	// one tally per cookie; seen then holds the UTC days observed, which
+	// is what ResidentDays counts. Only an unbounded state of a stage
+	// whose report merges its days is flat.
+	flat bool
+	seen map[int64]struct{}
 	// watermark is the newest day Advance has seen; valid when started.
 	watermark int64
 	started   bool
@@ -18,21 +24,29 @@ type windowed[T any] struct {
 	days map[int64]map[string]*T
 	// cookieDays counts resident day buckets per cookie, so
 	// ResidentCookies stays O(1) to read and exact under eviction.
+	// A flat state leaves it empty: its one bucket is the cookie set.
 	cookieDays map[string]int
 	stats      Stats
 }
 
 // newWindowed builds an empty windowed state with the given window
-// size in days (0 = unbounded).
-func newWindowed[T any](window int) windowed[T] {
+// size in days (0 = unbounded). mergesDays says the owning stage's
+// report merges the days, so an unbounded state need not keep them
+// apart.
+func newWindowed[T any](window int, mergesDays bool) windowed[T] {
 	if window < 0 {
 		window = 0
 	}
-	return windowed[T]{
+	w := windowed[T]{
 		window:     window,
 		days:       make(map[int64]map[string]*T),
 		cookieDays: make(map[string]int),
 	}
+	if mergesDays && window == 0 {
+		w.flat = true
+		w.seen = make(map[int64]struct{})
+	}
+	return w
 }
 
 // horizon returns the oldest resident day permitted by the watermark,
@@ -88,6 +102,10 @@ func (w *windowed[T]) bucket(day int64, cookie string, mk func() *T) (*T, bool) 
 		w.stats.LateDropped++
 		return nil, false
 	}
+	if w.flat {
+		w.seen[day] = struct{}{}
+		day = 0
+	}
 	cookies := w.days[day]
 	if cookies == nil {
 		// A day sees about as many cookies as the day before it: start
@@ -99,7 +117,9 @@ func (w *windowed[T]) bucket(day int64, cookie string, mk func() *T) (*T, bool) 
 	if t == nil {
 		t = mk()
 		cookies[cookie] = t
-		w.cookieDays[cookie]++
+		if !w.flat {
+			w.cookieDays[cookie]++
+		}
 	}
 	w.stats.Observed++
 	return t, true
@@ -111,6 +131,10 @@ func (w *windowed[T]) snapshotStats() Stats {
 	st := w.stats
 	st.ResidentDays = len(w.days)
 	st.ResidentCookies = len(w.cookieDays)
+	if w.flat {
+		st.ResidentDays = len(w.seen)
+		st.ResidentCookies = len(w.days[0])
+	}
 	return st
 }
 

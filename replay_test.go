@@ -15,7 +15,7 @@ import (
 
 // TestIntegrationReplayMatchesLivePath is the probe-store acceptance
 // scenario: a server persists its probe stream to disk while a live
-// analyzer watches the same stream; replaying the stored log offline
+// re-identification stage watches the same stream; replaying the stored log offline
 // must reproduce the live re-identification report exactly. This is the
 // paper's retention threat made concrete — the stored log is as
 // dangerous as the wiretap.
@@ -44,9 +44,10 @@ func TestIntegrationReplayMatchesLivePath(t *testing.T) {
 	}
 	index := sbprivacy.NewIndex(indexed)
 
-	// Live path: an analyzer subscribed to the server.
-	live := sbprivacy.NewProbeAnalyzer(index)
-	server.Subscribe(live)
+	// Live path: an unbounded re-identification stage subscribed to the
+	// server.
+	live := sbprivacy.NewReidentStage(index, 0)
+	server.Subscribe(sbprivacy.NewStreamPipeline(live))
 
 	// Durable path: a probe store subscribed to the same server, with
 	// small segments so the workload spans several files.
@@ -111,7 +112,7 @@ func TestIntegrationReplayMatchesLivePath(t *testing.T) {
 	}
 
 	// Offline path: reopen the log read-only — a different process,
-	// later in time — and replay into a fresh analyzer.
+	// later in time — and replay into a fresh stage.
 	replayStore, err := sbprivacy.OpenProbeStore(dir, sbprivacy.ProbeStoreReadOnly())
 	if err != nil {
 		t.Fatalf("OpenProbeStore read-only: %v", err)
@@ -119,12 +120,9 @@ func TestIntegrationReplayMatchesLivePath(t *testing.T) {
 	if segs := replayStore.Segments(); len(segs) < 2 {
 		t.Errorf("workload fit in %d segments; want rotation to matter: %+v", len(segs), segs)
 	}
-	replayed := sbprivacy.NewProbeAnalyzer(index)
-	if err := replayStore.Replay(func(p sbprivacy.Probe) error {
-		replayed.Observe(p)
-		return nil
-	}); err != nil {
-		t.Fatalf("Replay: %v", err)
+	replayed := sbprivacy.NewReidentStage(index, 0)
+	if err := sbprivacy.StreamReplay(replayStore, sbprivacy.NewStreamPipeline(replayed)); err != nil {
+		t.Fatalf("StreamReplay: %v", err)
 	}
 
 	if got, want := replayed.Report(), liveReport; !reflect.DeepEqual(got, want) {

@@ -102,10 +102,8 @@ type (
 	Correlator = core.Correlator
 	// CorrelationRule describes one behaviour to detect.
 	CorrelationRule = core.CorrelationRule
-	// ProbeAnalyzer aggregates re-identification conclusions per client
-	// from a probe stream, live or replayed.
-	ProbeAnalyzer = core.Analyzer
-	// ReidentReport is the analyzer's per-client output.
+	// ReidentReport is the per-client re-identification output of a
+	// ReidentStage.
 	ReidentReport = core.Report
 	// CollisionType classifies Type I/II/III prefix collisions.
 	CollisionType = collision.Type
@@ -260,13 +258,11 @@ var (
 )
 
 // Longitudinal day-over-day correlation (the retention threat over a
-// long horizon).
+// long horizon), computed by a LinkageStage.
 type (
-	// Longitudinal is the day-over-day re-identification correlator.
-	Longitudinal = core.Longitudinal
-	// LongitudinalConfig tunes its linkage thresholds.
+	// LongitudinalConfig tunes the linkage thresholds.
 	LongitudinalConfig = core.LongitudinalConfig
-	// LongitudinalReport is its full output.
+	// LongitudinalReport is the day-over-day linkage output.
 	LongitudinalReport = core.LongitudinalReport
 	// LongitudinalDay is the correlator's view of one calendar day.
 	LongitudinalDay = core.DayReport
@@ -276,12 +272,9 @@ type (
 	CookieChain = core.ChainReport
 )
 
-// NewLongitudinal builds a day-over-day correlator over a web index;
-// feed it live (Subscribe) or from a replayed probe store.
-var NewLongitudinal = core.NewLongitudinal
-
-// Streaming analysis pipeline (bounded-memory analysis at ingest
-// speed: the batch scoring cores behind windowed, evicting stages).
+// Streaming analysis pipeline: the provider's analyses as stages,
+// bounded-memory when windowed and the whole retained log at W = 0,
+// fed live, from a replay, or from a tail.
 type (
 	// StreamStage is one incremental analyzer in a pipeline.
 	StreamStage = stream.Stage
@@ -292,10 +285,11 @@ type (
 	StreamStats = stream.Stats
 	// StreamStageSnapshot pairs a stage's report with its accounting.
 	StreamStageSnapshot = stream.StageSnapshot
-	// ReidentStage is the windowed streaming form of the ProbeAnalyzer.
+	// ReidentStage aggregates re-identification conclusions per client
+	// over a window of days (W = 0: all of them).
 	ReidentStage = stream.ReidentStage
-	// LinkageStage is the windowed streaming form of the Longitudinal
-	// correlator.
+	// LinkageStage links cookies day over day across resets over a
+	// window of days (W = 0: all of them).
 	LinkageStage = stream.LinkageStage
 )
 
@@ -303,9 +297,11 @@ type (
 var (
 	// NewStreamPipeline builds a pipeline over the given stages.
 	NewStreamPipeline = stream.NewPipeline
-	// NewReidentStage builds a windowed re-identification stage.
+	// NewReidentStage builds a re-identification stage (W = 0:
+	// unbounded).
 	NewReidentStage = stream.NewReidentStage
-	// NewLinkageStage builds a windowed day-over-day linkage stage.
+	// NewLinkageStage builds a day-over-day linkage stage (W = 0:
+	// unbounded).
 	NewLinkageStage = stream.NewLinkageStage
 	// StreamReplay drives a pipeline from a sealed probe store.
 	StreamReplay = stream.Replay
@@ -455,9 +451,6 @@ var (
 	BuildTrackingPlan = core.BuildTrackingPlan
 	// NewTracker builds a probe-log tracker over plans.
 	NewTracker = core.NewTracker
-	// NewProbeAnalyzer builds a per-client re-identification analyzer
-	// over a web index; feed it live (Subscribe) or from a replayed log.
-	NewProbeAnalyzer = core.NewAnalyzer
 	// NewCorrelator builds a temporal-correlation engine.
 	NewCorrelator = core.NewCorrelator
 	// NewCorrelationRule builds a rule from URL expressions.

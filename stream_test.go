@@ -9,10 +9,10 @@ import (
 	"sbprivacy"
 )
 
-// TestStreamingMatchesBatchOnSealedStore is the PR's correctness
-// anchor: over a sealed, seeded campaign store, the streaming
-// pipeline's final snapshot must deep-equal the batch analyzers'
-// reports for the same window, and two same-seed streaming runs must
+// TestStreamingMatchesBatchOnSealedStore is the pipeline's correctness
+// anchor: over a sealed, seeded campaign store, an unbounded pipeline
+// replayed from the store must snapshot exactly like the same pipeline
+// that watched the campaign live, and two same-seed windowed runs must
 // snapshot identically even past the eviction horizon.
 func TestStreamingMatchesBatchOnSealedStore(t *testing.T) {
 	t.Parallel()
@@ -27,23 +27,31 @@ func TestStreamingMatchesBatchOnSealedStore(t *testing.T) {
 		t.Fatalf("GenerateCampaign: %v", err)
 	}
 
+	urls := camp.IndexExpressions()
+	pipeline := func(window int) *sbprivacy.StreamPipeline {
+		x := sbprivacy.NewIndex(urls)
+		return sbprivacy.NewStreamPipeline(
+			sbprivacy.NewReidentStage(x, window),
+			sbprivacy.NewLinkageStage(x, sbprivacy.LongitudinalConfig{}, window),
+		)
+	}
+
 	dir := t.TempDir()
 	store, err := sbprivacy.OpenProbeStore(dir,
 		sbprivacy.WithMaxSegmentBytes(8192)) // several segments
 	if err != nil {
 		t.Fatalf("OpenProbeStore: %v", err)
 	}
-	if _, err := camp.Run(ctx, store); err != nil {
+	live := pipeline(0)
+	if _, err := camp.Run(ctx, store, live); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if err := store.Close(); err != nil {
 		t.Fatalf("store.Close: %v", err)
 	}
 
-	urls := camp.IndexExpressions()
-
-	// replayStream replays the sealed store through a fresh windowed
-	// pipeline and returns its snapshot.
+	// replayStream replays the sealed store through a fresh pipeline
+	// and returns its snapshot.
 	replayStream := func(window int) []sbprivacy.StreamStageSnapshot {
 		ro, err := sbprivacy.OpenProbeStore(dir, sbprivacy.ProbeStoreReadOnly())
 		if err != nil {
@@ -54,46 +62,24 @@ func TestStreamingMatchesBatchOnSealedStore(t *testing.T) {
 				t.Errorf("close read-only: %v", err)
 			}
 		}()
-		x := sbprivacy.NewIndex(urls)
-		pl := sbprivacy.NewStreamPipeline(
-			sbprivacy.NewReidentStage(x, window),
-			sbprivacy.NewLinkageStage(x, sbprivacy.LongitudinalConfig{}, window),
-		)
+		pl := pipeline(window)
 		if err := sbprivacy.StreamReplay(ro, pl); err != nil {
 			t.Fatalf("StreamReplay: %v", err)
 		}
 		return pl.Snapshot()
 	}
 
-	// Unbounded window: the streaming snapshot must deep-equal the batch
-	// sinks replaying the same store.
-	ro, err := sbprivacy.OpenProbeStore(dir, sbprivacy.ProbeStoreReadOnly())
-	if err != nil {
-		t.Fatalf("reopen read-only: %v", err)
-	}
-	x := sbprivacy.NewIndex(urls)
-	analyzer := sbprivacy.NewProbeAnalyzer(x)
-	long := sbprivacy.NewLongitudinal(x, sbprivacy.LongitudinalConfig{})
-	if err := ro.Replay(func(p sbprivacy.Probe) error {
-		analyzer.Observe(p)
-		long.Observe(p)
-		return nil
-	}); err != nil {
-		t.Fatalf("batch replay: %v", err)
-	}
-	if err := ro.Close(); err != nil {
-		t.Fatalf("close read-only: %v", err)
-	}
-
-	full := replayStream(0)
+	// Unbounded window: the replayed snapshot must deep-equal the live
+	// one, reports and accounting.
+	full, want := replayStream(0), live.Snapshot()
 	if len(full) != 2 {
 		t.Fatalf("got %d stage snapshots, want 2", len(full))
 	}
-	if got, want := full[0].Report, analyzer.Report(); !reflect.DeepEqual(got, want) {
-		t.Errorf("streaming reident diverges from batch analyzer:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	if got, want := full[1].Report, long.Report(); !reflect.DeepEqual(got, want) {
-		t.Errorf("streaming linkage diverges from batch longitudinal:\ngot:\n%s\nwant:\n%s", got, want)
+	for i := range want {
+		if !reflect.DeepEqual(full[i], want[i]) {
+			t.Errorf("replayed %s stage diverges from the live one:\ngot:  %+v\n%s\nwant: %+v\n%s",
+				want[i].Name, full[i].Stats, full[i].Report, want[i].Stats, want[i].Report)
+		}
 	}
 
 	// Windowed, past the eviction horizon: two same-seed runs must agree
