@@ -12,11 +12,18 @@ docs-check: vet
 	$(GO) run ./tools/doccheck
 
 # examples-check keeps the runnable surface honest: every example
-# builds, the quickstart actually runs, and every command quoted in the
+# builds, runs and prints exactly its committed examples/<name>/expected.txt
+# (each example is deterministic), and every command quoted in the
 # experiments playbook still parses its flags.
+EXAMPLES := advisor mitigation privacymetrics quickstart tracker
+
 examples-check:
 	$(GO) build ./examples/...
-	$(GO) run ./examples/quickstart
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	for ex in $(EXAMPLES); do \
+		echo "examples/$$ex"; \
+		$(GO) run ./examples/$$ex > "$$out" && cmp "$$out" examples/$$ex/expected.txt || exit 1; \
+	done
 	$(GO) run ./tools/doccheck -cmds docs/EXPERIMENTS.md
 
 # ablate-smoke runs the mitigation ablation grid on a small campaign

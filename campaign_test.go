@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
-	"sbprivacy"
+	"sbprivacy/internal/core"
+	"sbprivacy/internal/probestore"
+	"sbprivacy/internal/stream"
+	"sbprivacy/internal/workload"
 )
 
 // TestIntegrationCampaignMatchesOfflineReplay is the multi-day
@@ -21,7 +24,7 @@ func TestIntegrationCampaignMatchesOfflineReplay(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	camp, err := sbprivacy.GenerateCampaign(sbprivacy.CampaignConfig{
+	camp, err := workload.Generate(workload.Config{
 		Days: 3, Clients: 40, Sites: 24, Seed: 7,
 	})
 	if err != nil {
@@ -29,18 +32,18 @@ func TestIntegrationCampaignMatchesOfflineReplay(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	store, err := sbprivacy.OpenProbeStore(dir,
-		sbprivacy.WithMaxSegmentBytes(8192)) // several segments
+	store, err := probestore.Open(dir,
+		probestore.WithMaxSegmentBytes(8192)) // several segments
 	if err != nil {
 		t.Fatalf("OpenProbeStore: %v", err)
 	}
-	linkage := func() *sbprivacy.LinkageStage {
-		return sbprivacy.NewLinkageStage(
-			sbprivacy.NewIndex(camp.IndexExpressions()), sbprivacy.LongitudinalConfig{}, 0)
+	linkage := func() *stream.LinkageStage {
+		return stream.NewLinkageStage(
+			core.NewIndex(camp.IndexExpressions()), core.LongitudinalConfig{}, 0)
 	}
 	live := linkage()
 
-	stats, err := camp.Run(ctx, store, sbprivacy.NewStreamPipeline(live))
+	stats, err := camp.Run(ctx, store, stream.NewPipeline(live))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -58,12 +61,12 @@ func TestIntegrationCampaignMatchesOfflineReplay(t *testing.T) {
 
 	// Offline path: reopen the store read-only — a later process — and
 	// replay into a fresh stage over a freshly built index.
-	ro, err := sbprivacy.OpenProbeStore(dir, sbprivacy.ProbeStoreReadOnly())
+	ro, err := probestore.Open(dir, probestore.ReadOnly())
 	if err != nil {
 		t.Fatalf("reopen read-only: %v", err)
 	}
 	offline := linkage()
-	if err := sbprivacy.StreamReplay(ro, sbprivacy.NewStreamPipeline(offline)); err != nil {
+	if err := stream.Replay(ro, stream.NewPipeline(offline)); err != nil {
 		t.Fatalf("StreamReplay: %v", err)
 	}
 	offlineReport := offline.Report()

@@ -9,10 +9,12 @@ import (
 	"fmt"
 	"log"
 
-	"sbprivacy"
 	"sbprivacy/internal/advisor"
+	"sbprivacy/internal/core"
 	"sbprivacy/internal/hashx"
+	"sbprivacy/internal/lookupapi"
 	"sbprivacy/internal/prefixdb"
+	"sbprivacy/internal/sbserver"
 )
 
 func main() {
@@ -20,7 +22,7 @@ func main() {
 
 	// The provider blacklists the PETS site pieces (a tracking plan) and
 	// one ordinary malware page.
-	server := sbprivacy.NewServer()
+	server := sbserver.New()
 	const list = "goog-malware-shavar"
 	must(server.CreateList(list, "malware"))
 	blacklisted := []string{
@@ -34,11 +36,11 @@ func main() {
 	// carries a provider-view index to reason about re-identification.
 	prefixes := make([]hashx.Prefix, len(blacklisted))
 	for i, e := range blacklisted {
-		prefixes[i] = sbprivacy.SumPrefix(e)
+		prefixes[i] = hashx.SumPrefix(e)
 	}
-	adv := &sbprivacy.PrivacyAdvisor{
+	adv := &advisor.Advisor{
 		Stores: []advisor.NamedStore{{List: list, Store: prefixdb.NewSortedSet(prefixes)}},
-		Index: sbprivacy.NewIndex([]string{
+		Index: core.NewIndex([]string{
 			"petsymposium.org/",
 			"petsymposium.org/2016/cfp.php",
 			"petsymposium.org/2016/links.php",
@@ -60,8 +62,8 @@ func main() {
 
 	// The same browsing through the deprecated Lookup API leaks
 	// everything, malicious or not.
-	lookup := sbprivacy.NewLookupAPIServer(server, []string{list})
-	lookupClient := &sbprivacy.LookupAPIClient{Direct: lookup, ClientID: "same-user"}
+	lookup := lookupapi.NewServer(server, []string{list})
+	lookupClient := &lookupapi.Client{Direct: lookup, ClientID: "same-user"}
 	_, err := lookupClient.Check(ctx, urls...)
 	must(err)
 	fmt.Println("\nthe deprecated Lookup API's log after the same browsing:")

@@ -9,8 +9,11 @@ import (
 	"fmt"
 	"log"
 
-	"sbprivacy"
+	"sbprivacy/internal/core"
+	"sbprivacy/internal/hashx"
 	"sbprivacy/internal/mitigation"
+	"sbprivacy/internal/sbclient"
+	"sbprivacy/internal/sbserver"
 )
 
 const list = "ydx-porno-hosts-top-shavar"
@@ -20,21 +23,21 @@ func main() {
 
 	// The provider blacklists both xhamster.com/ and its French mirror —
 	// the paper's Table 12 multi-prefix situation.
-	server := sbprivacy.NewServer()
+	server := sbserver.New()
 	must(server.CreateList(list, "pornography"))
 	must(server.AddExpressions(server.ListNames()[0],
 		[]string{"fr.xhamster.com/", "xhamster.com/"}))
 
 	// Vanilla client: both prefixes leak in one request.
-	vanilla := sbprivacy.NewClient(sbprivacy.LocalTransport{Server: server},
-		[]string{list}, sbprivacy.WithCookie("vanilla"))
+	vanilla := sbclient.New(sbclient.LocalTransport{Server: server},
+		[]string{list}, sbclient.WithCookie("vanilla"))
 	must(vanilla.Update(ctx, true))
 	v, err := vanilla.CheckURL(ctx, "http://fr.xhamster.com/user/video")
 	must(err)
 	fmt.Printf("vanilla client leaked: %v\n", v.SentPrefixes)
 
 	// The provider's index re-identifies the domain from that pair.
-	index := sbprivacy.NewIndex([]string{
+	index := core.NewIndex([]string{
 		"fr.xhamster.com/user/video", "fr.xhamster.com/", "xhamster.com/",
 		"news.example/", "blog.example/post",
 	})
@@ -44,9 +47,9 @@ func main() {
 
 	// Mitigated client: the same client code with a query policy that
 	// sends the root prefix first and pads every request with dummies.
-	mitigated := sbprivacy.NewClient(sbprivacy.LocalTransport{Server: server},
-		[]string{list}, sbprivacy.WithCookie("mitigated"),
-		sbprivacy.WithQueryPolicy(&sbprivacy.OnePrefixQueryPolicy{Dummies: 4}))
+	mitigated := sbclient.New(sbclient.LocalTransport{Server: server},
+		[]string{list}, sbclient.WithCookie("mitigated"),
+		sbclient.WithQueryPolicy(&mitigation.OnePrefixPolicy{Dummies: 4}))
 	must(mitigated.Update(ctx, true))
 	m, err := mitigated.CheckURL(ctx, "http://fr.xhamster.com/user/video")
 	must(err)
@@ -60,13 +63,13 @@ func main() {
 
 	// The single-prefix k-anonymity gain from dummies.
 	before, after := mitigation.SingleKAnonymityGain(
-		sbprivacy.SumPrefix("xhamster.com/"), 4, index.KAnonymity)
+		hashx.SumPrefix("xhamster.com/"), 4, index.KAnonymity)
 	fmt.Printf("\ndummy padding, single prefix: k-anonymity %d -> %d\n", before, after)
 
 	// ...and the paper's negative result: the correlated pair still
 	// re-identifies the domain even under padding.
 	padded := mitigation.AugmentRequest(v.SentPrefixes, 4)
-	var indexed []sbprivacy.Prefix
+	var indexed []hashx.Prefix
 	for _, p := range padded {
 		if index.KAnonymity(p) > 0 {
 			indexed = append(indexed, p)

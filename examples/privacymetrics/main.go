@@ -9,8 +9,10 @@ import (
 	"log"
 	"math"
 
-	"sbprivacy"
 	"sbprivacy/internal/ballsbins"
+	"sbprivacy/internal/core"
+	"sbprivacy/internal/corpus"
+	"sbprivacy/internal/hashx"
 )
 
 func main() {
@@ -18,9 +20,9 @@ func main() {
 	fmt.Println("Table 5 (analytic): max URLs per prefix, 60 trillion URLs")
 	for _, bits := range []int{16, 32, 64, 96} {
 		n := math.Pow(2, float64(bits))
-		poisson, err := sbprivacy.PoissonMaxLoad(60e12, n)
+		poisson, err := ballsbins.PoissonMaxLoad(60e12, n)
 		must(err)
-		theorem, regime, err := sbprivacy.MaxLoadEstimate(ballsbins.Params{Balls: 60e12, Bins: n})
+		theorem, regime, err := ballsbins.MaxLoad(ballsbins.Params{Balls: 60e12, Bins: n})
 		must(err)
 		fmt.Printf("    %2d bits: poisson=%-9d theorem=%-12.0f (%v)\n", bits, poisson, theorem, regime)
 	}
@@ -29,13 +31,13 @@ func main() {
 
 	// Empirical: generate a corpus, index it like the provider would,
 	// and measure anonymity sets.
-	corpusData, err := sbprivacy.GenerateCorpus(sbprivacy.CorpusConfig{
-		Profile: sbprivacy.ProfileRandom,
+	corpusData, err := corpus.Generate(corpus.Config{
+		Profile: corpus.ProfileRandom,
 		Hosts:   2000,
 		Seed:    7,
 	})
 	must(err)
-	index := sbprivacy.NewIndex(corpusData.AllURLs())
+	index := core.NewIndex(corpusData.AllURLs())
 	fmt.Printf("\nsynthetic corpus: %d URLs across %d hosts, indexed\n",
 		corpusData.TotalURLs(), len(corpusData.Hosts))
 
@@ -48,7 +50,7 @@ func main() {
 
 	// Domain roots are uniquely re-identifiable, as Section 5 concludes.
 	domain := corpusData.Hosts[0].Domain
-	p := sbprivacy.SumPrefix(domain + "/")
+	p := hashx.SumPrefix(domain + "/")
 	fmt.Printf("\nk-anonymity of %s/ prefix: %d (domains re-identify with certainty)\n",
 		domain, index.KAnonymity(p))
 }

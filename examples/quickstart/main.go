@@ -9,23 +9,26 @@ import (
 	"fmt"
 	"log"
 
-	"sbprivacy"
+	"sbprivacy/internal/sbclient"
+	"sbprivacy/internal/sbserver"
 )
 
 func main() {
 	ctx := context.Background()
 
 	// The provider: one malware list with a few blacklisted URLs.
-	server := sbprivacy.NewServer()
+	server := sbserver.New()
 	const list = "goog-malware-shavar"
 	must(server.CreateList(list, "malware"))
 	must(server.AddURL(list, "http://malware.example/drive-by-download.html"))
 	must(server.AddURL(list, "http://phish.example/"))
 
-	// The client: sync the local prefix database, then browse.
-	client := sbprivacy.NewClient(
-		sbprivacy.LocalTransport{Server: server},
+	// The client: sync the local prefix database, then browse. The cookie
+	// is pinned so the probe log below reads the same on every run.
+	client := sbclient.New(
+		sbclient.LocalTransport{Server: server},
 		[]string{list},
+		sbclient.WithCookie("quickstart"),
 	)
 	must(client.Update(ctx, true))
 	fmt.Printf("local database: %d prefixes, %d bytes\n\n",

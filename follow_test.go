@@ -10,8 +10,11 @@ import (
 	"testing"
 	"time"
 
-	"sbprivacy"
+	"sbprivacy/internal/core"
+	"sbprivacy/internal/probestore"
+	"sbprivacy/internal/sbclient"
 	"sbprivacy/internal/sbserver"
+	"sbprivacy/internal/stream"
 )
 
 // countingSink counts probe deliveries so the test knows how many
@@ -31,7 +34,7 @@ func TestIntegrationFollowMatchesLivePath(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	server := sbprivacy.NewServer()
+	server := sbserver.New()
 	const list = "goog-malware-shavar"
 	if err := server.CreateList(list, "malware"); err != nil {
 		t.Fatalf("CreateList: %v", err)
@@ -47,17 +50,17 @@ func TestIntegrationFollowMatchesLivePath(t *testing.T) {
 	if err := server.AddExpressions(list, indexed); err != nil {
 		t.Fatalf("AddExpressions: %v", err)
 	}
-	index := sbprivacy.NewIndex(indexed)
+	index := core.NewIndex(indexed)
 
-	live := sbprivacy.NewReidentStage(index, 0)
-	server.Subscribe(sbprivacy.NewStreamPipeline(live))
+	live := stream.NewReidentStage(index, 0)
+	server.Subscribe(stream.NewPipeline(live))
 	counter := &countingSink{}
 	server.Subscribe(counter)
 
 	dir := t.TempDir()
-	store, err := sbprivacy.OpenProbeStore(dir,
-		sbprivacy.WithMaxSegmentBytes(256), // several rotations
-		sbprivacy.WithSpillThreshold(1))
+	store, err := probestore.Open(dir,
+		probestore.WithMaxSegmentBytes(256), // several rotations
+		probestore.WithSpillThreshold(1))
 	if err != nil {
 		t.Fatalf("OpenProbeStore: %v", err)
 	}
@@ -65,18 +68,18 @@ func TestIntegrationFollowMatchesLivePath(t *testing.T) {
 
 	// The tail starts NOW, against an empty directory: every probe it
 	// ever delivers was appended after the tail began.
-	tailStore, err := sbprivacy.OpenProbeStore(dir, sbprivacy.ProbeStoreReadOnly())
+	tailStore, err := probestore.Open(dir, probestore.ReadOnly())
 	if err != nil {
 		t.Fatalf("OpenProbeStore read-only: %v", err)
 	}
-	followed := sbprivacy.NewReidentStage(index, 0)
-	followedPipeline := sbprivacy.NewStreamPipeline(followed)
+	followed := stream.NewReidentStage(index, 0)
+	followedPipeline := stream.NewPipeline(followed)
 	followCtx, stopFollow := context.WithCancel(ctx)
 	defer stopFollow()
 	followErr := make(chan error, 1)
 	go func() {
-		followErr <- sbprivacy.StreamFollow(followCtx, tailStore, followedPipeline,
-			sbprivacy.WithFollowPoll(time.Millisecond))
+		followErr <- stream.Follow(followCtx, tailStore, followedPipeline,
+			probestore.WithFollowPoll(time.Millisecond))
 	}()
 
 	ts := httptest.NewServer(sbserver.Handler(server))
@@ -86,9 +89,9 @@ func TestIntegrationFollowMatchesLivePath(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := sbprivacy.NewClient(
-				sbprivacy.HTTPTransport{BaseURL: ts.URL, Client: ts.Client()},
-				[]string{list}, sbprivacy.WithCookie(fmt.Sprintf("client-%d", i)))
+			c := sbclient.New(
+				sbclient.HTTPTransport{BaseURL: ts.URL, Client: ts.Client()},
+				[]string{list}, sbclient.WithCookie(fmt.Sprintf("client-%d", i)))
 			if err := c.Update(ctx, true); err != nil {
 				t.Errorf("Update: %v", err)
 				return

@@ -3,12 +3,15 @@ package sbprivacy_test
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"sbprivacy"
 	"sbprivacy/internal/blacklist"
+	"sbprivacy/internal/core"
+	"sbprivacy/internal/prefixdb"
+	"sbprivacy/internal/sbclient"
 	"sbprivacy/internal/sbserver"
 )
 
@@ -31,18 +34,18 @@ func TestIntegrationFullAttackOverHTTP(t *testing.T) {
 	}
 	server := universe.Server
 
-	index := sbprivacy.NewIndex([]string{
+	index := core.NewIndex([]string{
 		"petsymposium.org/",
 		"petsymposium.org/2016/",
 		"petsymposium.org/2016/cfp.php",
 		"petsymposium.org/2016/links.php",
 		"petsymposium.org/2016/submission/",
 	})
-	plan, err := sbprivacy.BuildTrackingPlan(index, "https://petsymposium.org/2016/cfp.php", 4)
+	plan, err := core.BuildTrackingPlan(index, "https://petsymposium.org/2016/cfp.php", 4)
 	if err != nil {
 		t.Fatalf("BuildTrackingPlan: %v", err)
 	}
-	tracker := sbprivacy.NewTracker(plan)
+	tracker := core.NewTracker(plan)
 	const trackingList = "ydx-malware-shavar"
 	if err := server.AddExpressions(trackingList, tracker.ShadowExpressions()); err != nil {
 		t.Fatalf("AddExpressions: %v", err)
@@ -53,7 +56,7 @@ func TestIntegrationFullAttackOverHTTP(t *testing.T) {
 	}
 	server.Subscribe(tracker)
 
-	correlator := sbprivacy.NewCorrelator(sbprivacy.NewCorrelationRule(
+	correlator := core.NewCorrelator(core.NewCorrelationRule(
 		"pets-author", time.Hour,
 		"petsymposium.org/2016/cfp.php",
 		"petsymposium.org/2016/submission/",
@@ -64,10 +67,10 @@ func TestIntegrationFullAttackOverHTTP(t *testing.T) {
 	defer ts.Close()
 
 	lists := []string{trackingList, "ydx-porno-hosts-top-shavar"}
-	newClient := func(cookie string) *sbprivacy.Client {
-		c := sbprivacy.NewClient(
-			sbprivacy.HTTPTransport{BaseURL: ts.URL, Client: ts.Client()},
-			lists, sbprivacy.WithCookie(cookie))
+	newClient := func(cookie string) *sbclient.Client {
+		c := sbclient.New(
+			sbclient.HTTPTransport{BaseURL: ts.URL, Client: ts.Client()},
+			lists, sbclient.WithCookie(cookie))
 		if err := c.Update(ctx, true); err != nil {
 			t.Fatalf("Update(%s): %v", cookie, err)
 		}
@@ -77,12 +80,12 @@ func TestIntegrationFullAttackOverHTTP(t *testing.T) {
 	// Concurrent browsing: the victim reads the CFP then the submission
 	// site; bystanders browse clean and synthetic-blacklisted content.
 	victim := newClient("victim")
-	bystanders := []*sbprivacy.Client{newClient("b1"), newClient("b2"), newClient("b3")}
+	bystanders := []*sbclient.Client{newClient("b1"), newClient("b2"), newClient("b3")}
 
 	var wg sync.WaitGroup
 	for i, c := range bystanders {
 		wg.Add(1)
-		go func(i int, c *sbprivacy.Client) {
+		go func(i int, c *sbclient.Client) {
 			defer wg.Done()
 			urls := []string{
 				"http://news.example/article",
@@ -132,7 +135,7 @@ func TestIntegrationFullAttackOverHTTP(t *testing.T) {
 	}
 
 	// The audit side still works on the same served database.
-	report, err := sbprivacy.AuditOrphans(server, "ydx-phish-shavar")
+	report, err := blacklist.AuditOrphans(server, "ydx-phish-shavar")
 	if err != nil {
 		t.Fatalf("AuditOrphans: %v", err)
 	}
@@ -146,7 +149,7 @@ func TestIntegrationFullAttackOverHTTP(t *testing.T) {
 func TestIntegrationStoreKindsAgreeOverHTTP(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
-	server := sbprivacy.NewServer()
+	server := sbserver.New()
 	const list = "goog-malware-shavar"
 	if err := server.CreateList(list, "malware"); err != nil {
 		t.Fatalf("CreateList: %v", err)
@@ -166,36 +169,37 @@ func TestIntegrationStoreKindsAgreeOverHTTP(t *testing.T) {
 		"http://worse.example/x/y/z.html",
 		"http://clean.example/",
 	}
-	type verdictRow struct {
-		safe int
-		sent int
+	kinds := []struct {
+		name    string
+		factory sbclient.StoreFactory
+	}{
+		{"sorted", func() prefixdb.Updatable { return prefixdb.NewSortedSet(nil) }},
+		{"delta", func() prefixdb.Updatable { return prefixdb.NewDeltaStore(nil) }},
 	}
-	var rows []verdictRow
-	for _, factory := range []sbprivacy.StoreFactoryKind{
-		sbprivacy.StoreSorted, sbprivacy.StoreDelta,
-	} {
-		client := sbprivacy.NewClient(
-			sbprivacy.HTTPTransport{BaseURL: ts.URL, Client: ts.Client()},
+	verdicts := make([][]*sbclient.Verdict, len(kinds))
+	for k, kind := range kinds {
+		client := sbclient.New(
+			sbclient.HTTPTransport{BaseURL: ts.URL, Client: ts.Client()},
 			[]string{list},
-			sbprivacy.WithStoreFactory(sbprivacy.StoreFactoryFor(factory)),
+			sbclient.WithStoreFactory(kind.factory),
 		)
 		if err := client.Update(ctx, true); err != nil {
-			t.Fatalf("Update: %v", err)
+			t.Fatalf("%s Update: %v", kind.name, err)
 		}
-		row := verdictRow{}
 		for _, u := range urls {
 			v, err := client.CheckURL(ctx, u)
 			if err != nil {
-				t.Fatalf("CheckURL(%s): %v", u, err)
+				t.Fatalf("%s CheckURL(%s): %v", kind.name, u, err)
 			}
-			if v.Safe {
-				row.safe++
-			}
-			row.sent += len(v.SentPrefixes)
+			verdicts[k] = append(verdicts[k], v)
 		}
-		rows = append(rows, row)
 	}
-	if rows[0] != rows[1] {
-		t.Errorf("store kinds disagree: %+v vs %+v", rows[0], rows[1])
+	for i, u := range urls {
+		a, b := verdicts[0][i], verdicts[1][i]
+		if a.Safe != b.Safe || !reflect.DeepEqual(a.SentPrefixes, b.SentPrefixes) ||
+			!reflect.DeepEqual(a.Matches, b.Matches) {
+			t.Errorf("%s: store kinds disagree:\n%s %+v\n%s %+v",
+				u, kinds[0].name, a, kinds[1].name, b)
+		}
 	}
 }

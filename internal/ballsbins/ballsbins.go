@@ -9,9 +9,7 @@
 //   - Theorem 1 of Raab and Steger ("Balls into Bins - A Simple and Tight
 //     Analysis"), with its four density regimes;
 //   - a numerically exact Poisson estimator of the expected maximum and
-//     minimum load, used to cross-check the asymptotic formulas;
-//   - the Ercal-Ozkaya Theta(m/n) minimum-load bound used by the paper for
-//     the client's perspective.
+//     minimum load, used to cross-check the asymptotic formulas.
 package ballsbins
 
 import (
@@ -185,16 +183,6 @@ func SolveDc(c float64) (float64, error) {
 		}
 	}
 	return (lo + hi) / 2, nil
-}
-
-// MinLoadOrder returns the Ercal-Ozkaya minimum-load order Theta(m/n),
-// valid for m >= c n log n with c > 1: the least-loaded prefix still
-// hides about m/n URLs.
-func MinLoadOrder(m, n float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return m / n
 }
 
 // PoissonMaxLoad estimates the expected maximum load exactly under the

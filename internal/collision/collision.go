@@ -184,19 +184,3 @@ func (h *Hierarchy) Leaves() []string {
 	}
 	return out
 }
-
-// CandidatesBefore returns the decompositions that appear before the
-// given expression in a URL's decomposition order — the paper's "all the
-// decompositions that appear before the first prefix are possible
-// candidates for re-identification" rule.
-func CandidatesBefore(urlExpr, firstHit string) []string {
-	decomps := urlx.FromExpression(urlExpr).Decompositions()
-	var out []string
-	for _, d := range decomps {
-		if d == firstHit {
-			break
-		}
-		out = append(out, d)
-	}
-	return out
-}

@@ -206,24 +206,3 @@ func TestHierarchyForeignExpression(t *testing.T) {
 		t.Error("unindexed expression should report leaf (no containment)")
 	}
 }
-
-// TestCandidatesBefore checks the re-identification candidate rule: all
-// decompositions before the first hit are candidates.
-func TestCandidatesBefore(t *testing.T) {
-	t.Parallel()
-	// Decomposition order of a.b.c/1/2.ext: [full, /1/2.ext, /, /1/, ...].
-	url := "a.b.c/1/2.ext"
-	got := CandidatesBefore(url, "a.b.c/")
-	want := []string{"a.b.c/1/2.ext"}
-	if len(got) != len(want) || got[0] != want[0] {
-		t.Errorf("CandidatesBefore(%q, a.b.c/) = %v, want %v", url, got, want)
-	}
-	if got := CandidatesBefore(url, url); len(got) != 0 {
-		t.Errorf("CandidatesBefore(first) = %v, want empty", got)
-	}
-	if got := CandidatesBefore(url, "not-a-decomp/"); len(got) != 6 {
-		// No match: every decomposition precedes the (absent) hit — all 6
-		// expressions of a.b.c/1/2.ext (2 hosts x 3 paths).
-		t.Errorf("CandidatesBefore(absent) = %v, want all 6", got)
-	}
-}

@@ -276,16 +276,6 @@ func (c *Corpus) TotalURLs() int {
 	return total
 }
 
-// URLsOfDomain returns the URLs hosted on a registrable domain, or nil.
-func (c *Corpus) URLsOfDomain(domain string) []string {
-	for i := range c.Hosts {
-		if c.Hosts[i].Domain == domain {
-			return c.Hosts[i].URLs
-		}
-	}
-	return nil
-}
-
 // AllURLs flattens the corpus into one slice (the provider's web index).
 func (c *Corpus) AllURLs() []string {
 	out := make([]string, 0, c.TotalURLs())

@@ -240,12 +240,6 @@ func TestSubdomainsStayUnderDomain(t *testing.T) {
 func TestCorpusAccessors(t *testing.T) {
 	t.Parallel()
 	c := smallCorpus(t, ProfileRandom, 20)
-	if got := c.URLsOfDomain(c.Hosts[3].Domain); len(got) != len(c.Hosts[3].URLs) {
-		t.Errorf("URLsOfDomain = %d URLs, want %d", len(got), len(c.Hosts[3].URLs))
-	}
-	if c.URLsOfDomain("missing.example") != nil {
-		t.Error("URLsOfDomain(missing) != nil")
-	}
 	if got := len(c.AllURLs()); got != c.TotalURLs() {
 		t.Errorf("AllURLs len %d != TotalURLs %d", got, c.TotalURLs())
 	}

@@ -82,9 +82,7 @@ type Server struct {
 	idx    *flatIndex
 	probes *probePipeline
 
-	minWaitSeconds uint32
-	cacheSeconds   uint32
-	now            func() time.Time
+	now func() time.Time
 
 	probeBuffer int
 	probeLogCap int
@@ -93,16 +91,6 @@ type Server struct {
 
 // Option configures a Server.
 type Option func(*Server)
-
-// WithMinWait sets the minimum client poll interval.
-func WithMinWait(seconds uint32) Option {
-	return func(s *Server) { s.minWaitSeconds = seconds }
-}
-
-// WithCacheLifetime sets the full-hash cache lifetime granted to clients.
-func WithCacheLifetime(seconds uint32) Option {
-	return func(s *Server) { s.cacheSeconds = seconds }
-}
 
 // WithClock overrides the time source (tests).
 func WithClock(now func() time.Time) Option {
@@ -133,12 +121,10 @@ func WithProbeOverflow(policy OverflowPolicy) Option {
 // New creates an empty server and starts its probe pipeline.
 func New(opts ...Option) *Server {
 	s := &Server{
-		lists:          make(map[string]*list),
-		minWaitSeconds: DefaultMinWaitSeconds,
-		cacheSeconds:   DefaultCacheSeconds,
-		now:            time.Now,
-		probeBuffer:    DefaultProbeBuffer,
-		idx:            newFlatIndex(),
+		lists:       make(map[string]*list),
+		now:         time.Now,
+		probeBuffer: DefaultProbeBuffer,
+		idx:         newFlatIndex(),
 	}
 	for _, o := range opts {
 		o(s)
@@ -371,7 +357,7 @@ func (l *list) appendChunk(typ wire.ChunkType, prefixes []hashx.Prefix) {
 // Download serves an incremental update: all chunks newer than the
 // client's recorded state, for each requested list.
 func (s *Server) Download(req *wire.DownloadRequest) (*wire.DownloadResponse, error) {
-	resp := &wire.DownloadResponse{MinWaitSeconds: s.minWaitSeconds}
+	resp := &wire.DownloadResponse{MinWaitSeconds: DefaultMinWaitSeconds}
 	for _, st := range req.States {
 		l, err := s.getList(st.List)
 		if err != nil {
@@ -413,7 +399,7 @@ func (s *Server) FullHashes(req *wire.FullHashRequest) (*wire.FullHashResponse, 
 		Prefixes: append([]hashx.Prefix(nil), req.Prefixes...),
 	})
 	resp := &wire.FullHashResponse{
-		CacheSeconds: s.cacheSeconds,
+		CacheSeconds: DefaultCacheSeconds,
 		Entries:      make([]wire.FullHashEntry, 0, len(req.Prefixes)),
 	}
 	for _, p := range req.Prefixes {

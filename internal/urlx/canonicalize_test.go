@@ -224,24 +224,11 @@ func TestRegisteredDomain(t *testing.T) {
 		{"localhost", "localhost"},
 		{"petsymposium.org", "petsymposium.org"},
 		{"fr.xhamster.com", "xhamster.com"},
+		{"wps3b.17buddies.net", "17buddies.net"},
 	}
 	for _, tc := range tests {
 		if got := RegisteredDomain(tc.host); got != tc.want {
 			t.Errorf("RegisteredDomain(%q) = %q, want %q", tc.host, got, tc.want)
 		}
-	}
-}
-
-func TestDomainOf(t *testing.T) {
-	t.Parallel()
-	got, err := DomainOf("http://wps3b.17buddies.net/wp/cs_sub_7-2.pwf")
-	if err != nil {
-		t.Fatalf("DomainOf: %v", err)
-	}
-	if got != "17buddies.net" {
-		t.Errorf("DomainOf = %q, want 17buddies.net", got)
-	}
-	if _, err := DomainOf(""); err == nil {
-		t.Error("DomainOf(\"\"): want error")
 	}
 }

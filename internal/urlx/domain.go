@@ -41,12 +41,3 @@ func RegisteredDomain(host string) string {
 	}
 	return host[second+1:]
 }
-
-// DomainOf canonicalizes rawURL and returns its registrable domain.
-func DomainOf(rawURL string) (string, error) {
-	c, err := Canonicalize(rawURL)
-	if err != nil {
-		return "", err
-	}
-	return RegisteredDomain(c.Host), nil
-}

@@ -9,8 +9,11 @@ import (
 	"testing"
 	"time"
 
-	"sbprivacy"
+	"sbprivacy/internal/core"
+	"sbprivacy/internal/probestore"
+	"sbprivacy/internal/sbclient"
 	"sbprivacy/internal/sbserver"
+	"sbprivacy/internal/stream"
 )
 
 // TestIntegrationReplayMatchesLivePath is the probe-store acceptance
@@ -26,7 +29,7 @@ func TestIntegrationReplayMatchesLivePath(t *testing.T) {
 
 	// Provider: a served list containing the PETS site, a decoy site,
 	// and a web index covering both.
-	server := sbprivacy.NewServer()
+	server := sbserver.New()
 	const list = "goog-malware-shavar"
 	if err := server.CreateList(list, "malware"); err != nil {
 		t.Fatalf("CreateList: %v", err)
@@ -42,19 +45,19 @@ func TestIntegrationReplayMatchesLivePath(t *testing.T) {
 	if err := server.AddExpressions(list, indexed); err != nil {
 		t.Fatalf("AddExpressions: %v", err)
 	}
-	index := sbprivacy.NewIndex(indexed)
+	index := core.NewIndex(indexed)
 
 	// Live path: an unbounded re-identification stage subscribed to the
 	// server.
-	live := sbprivacy.NewReidentStage(index, 0)
-	server.Subscribe(sbprivacy.NewStreamPipeline(live))
+	live := stream.NewReidentStage(index, 0)
+	server.Subscribe(stream.NewPipeline(live))
 
 	// Durable path: a probe store subscribed to the same server, with
 	// small segments so the workload spans several files.
 	dir := t.TempDir()
-	store, err := sbprivacy.OpenProbeStore(dir,
-		sbprivacy.WithMaxSegmentBytes(256),
-		sbprivacy.WithSpillThreshold(1))
+	store, err := probestore.Open(dir,
+		probestore.WithMaxSegmentBytes(256),
+		probestore.WithSpillThreshold(1))
 	if err != nil {
 		t.Fatalf("OpenProbeStore: %v", err)
 	}
@@ -70,9 +73,9 @@ func TestIntegrationReplayMatchesLivePath(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := sbprivacy.NewClient(
-				sbprivacy.HTTPTransport{BaseURL: ts.URL, Client: ts.Client()},
-				[]string{list}, sbprivacy.WithCookie(fmt.Sprintf("client-%d", i)))
+			c := sbclient.New(
+				sbclient.HTTPTransport{BaseURL: ts.URL, Client: ts.Client()},
+				[]string{list}, sbclient.WithCookie(fmt.Sprintf("client-%d", i)))
 			if err := c.Update(ctx, true); err != nil {
 				t.Errorf("Update: %v", err)
 				return
@@ -113,15 +116,15 @@ func TestIntegrationReplayMatchesLivePath(t *testing.T) {
 
 	// Offline path: reopen the log read-only — a different process,
 	// later in time — and replay into a fresh stage.
-	replayStore, err := sbprivacy.OpenProbeStore(dir, sbprivacy.ProbeStoreReadOnly())
+	replayStore, err := probestore.Open(dir, probestore.ReadOnly())
 	if err != nil {
 		t.Fatalf("OpenProbeStore read-only: %v", err)
 	}
 	if segs := replayStore.Segments(); len(segs) < 2 {
 		t.Errorf("workload fit in %d segments; want rotation to matter: %+v", len(segs), segs)
 	}
-	replayed := sbprivacy.NewReidentStage(index, 0)
-	if err := sbprivacy.StreamReplay(replayStore, sbprivacy.NewStreamPipeline(replayed)); err != nil {
+	replayed := stream.NewReidentStage(index, 0)
+	if err := stream.Replay(replayStore, stream.NewPipeline(replayed)); err != nil {
 		t.Fatalf("StreamReplay: %v", err)
 	}
 
@@ -138,36 +141,36 @@ func TestIntegrationReplayFeedsTracker(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	index := sbprivacy.NewIndex([]string{
+	index := core.NewIndex([]string{
 		"petsymposium.org/",
 		"petsymposium.org/2016/",
 		"petsymposium.org/2016/cfp.php",
 		"petsymposium.org/2016/links.php",
 	})
-	plan, err := sbprivacy.BuildTrackingPlan(index, "https://petsymposium.org/2016/cfp.php", 4)
+	plan, err := core.BuildTrackingPlan(index, "https://petsymposium.org/2016/cfp.php", 4)
 	if err != nil {
 		t.Fatalf("BuildTrackingPlan: %v", err)
 	}
 
-	server := sbprivacy.NewServer()
+	server := sbserver.New()
 	const list = "goog-malware-shavar"
 	if err := server.CreateList(list, "malware"); err != nil {
 		t.Fatalf("CreateList: %v", err)
 	}
-	liveTracker := sbprivacy.NewTracker(plan)
+	liveTracker := core.NewTracker(plan)
 	if err := server.AddExpressions(list, liveTracker.ShadowExpressions()); err != nil {
 		t.Fatalf("AddExpressions: %v", err)
 	}
 	server.Subscribe(liveTracker)
 	dir := t.TempDir()
-	store, err := sbprivacy.OpenProbeStore(dir)
+	store, err := probestore.Open(dir)
 	if err != nil {
 		t.Fatalf("OpenProbeStore: %v", err)
 	}
 	server.Subscribe(store)
 
-	victim := sbprivacy.NewClient(sbprivacy.LocalTransport{Server: server},
-		[]string{list}, sbprivacy.WithCookie("victim"))
+	victim := sbclient.New(sbclient.LocalTransport{Server: server},
+		[]string{list}, sbclient.WithCookie("victim"))
 	if err := victim.Update(ctx, true); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
@@ -181,12 +184,12 @@ func TestIntegrationReplayFeedsTracker(t *testing.T) {
 		t.Fatalf("store.Close: %v", err)
 	}
 
-	replayTracker := sbprivacy.NewTracker(plan)
-	replayStore, err := sbprivacy.OpenProbeStore(dir, sbprivacy.ProbeStoreReadOnly())
+	replayTracker := core.NewTracker(plan)
+	replayStore, err := probestore.Open(dir, probestore.ReadOnly())
 	if err != nil {
 		t.Fatalf("OpenProbeStore read-only: %v", err)
 	}
-	if err := replayStore.Replay(func(p sbprivacy.Probe) error {
+	if err := replayStore.Replay(func(p sbserver.Probe) error {
 		replayTracker.Observe(p)
 		return nil
 	}); err != nil {

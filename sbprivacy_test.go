@@ -4,16 +4,21 @@ import (
 	"context"
 	"testing"
 
-	"sbprivacy"
+	"sbprivacy/internal/core"
+	"sbprivacy/internal/exp"
+	"sbprivacy/internal/hashx"
+	"sbprivacy/internal/sbclient"
+	"sbprivacy/internal/sbserver"
+	"sbprivacy/internal/urlx"
 )
 
-// TestPublicAPIQuickstart exercises the facade exactly as the package
-// documentation advertises it.
+// TestPublicAPIQuickstart runs the package documentation's quick start
+// line for line.
 func TestPublicAPIQuickstart(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
 
-	server := sbprivacy.NewServer()
+	server := sbserver.New()
 	if err := server.CreateList("goog-malware-shavar", "malware"); err != nil {
 		t.Fatalf("CreateList: %v", err)
 	}
@@ -21,10 +26,10 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatalf("AddURL: %v", err)
 	}
 
-	client := sbprivacy.NewClient(
-		sbprivacy.LocalTransport{Server: server},
+	client := sbclient.New(
+		sbclient.LocalTransport{Server: server},
 		[]string{"goog-malware-shavar"},
-		sbprivacy.WithCookie("api-test"),
+		sbclient.WithCookie("api-test"),
 	)
 	if err := client.Update(ctx, true); err != nil {
 		t.Fatalf("Update: %v", err)
@@ -34,7 +39,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatalf("CheckURL: %v", err)
 	}
 	if verdict.Safe {
-		t.Error("blacklisted URL judged safe through the facade")
+		t.Error("blacklisted URL judged safe")
 	}
 	if len(verdict.SentPrefixes) == 0 {
 		t.Error("no leak recorded")
@@ -44,11 +49,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 // TestPublicAPIPrivacyAnalysis drives the analysis entry points.
 func TestPublicAPIPrivacyAnalysis(t *testing.T) {
 	t.Parallel()
-	index := sbprivacy.NewIndex([]string{
+	index := core.NewIndex([]string{
 		"petsymposium.org/",
 		"petsymposium.org/2016/cfp.php",
 	})
-	plan, err := sbprivacy.BuildTrackingPlan(index, "https://petsymposium.org/2016/cfp.php", 4)
+	plan, err := core.BuildTrackingPlan(index, "https://petsymposium.org/2016/cfp.php", 4)
 	if err != nil {
 		t.Fatalf("BuildTrackingPlan: %v", err)
 	}
@@ -59,21 +64,25 @@ func TestPublicAPIPrivacyAnalysis(t *testing.T) {
 	if !re.Exact {
 		t.Errorf("plan does not re-identify: %+v", re)
 	}
-	if p := sbprivacy.SumPrefix("petsymposium.org/2016/cfp.php"); p != 0xe70ee6d1 {
+	if p := hashx.SumPrefix("petsymposium.org/2016/cfp.php"); p != 0xe70ee6d1 {
 		t.Errorf("SumPrefix = %v", p)
 	}
-	if d, err := sbprivacy.RegisteredDomainOf("http://a.b.example.com/x"); err != nil || d != "example.com" {
-		t.Errorf("RegisteredDomainOf = %q, %v", d, err)
+	c, err := urlx.Canonicalize("http://a.b.example.com/x")
+	if err != nil {
+		t.Fatalf("Canonicalize: %v", err)
+	}
+	if d := urlx.RegisteredDomain(c.Host); d != "example.com" {
+		t.Errorf("RegisteredDomain = %q", d)
 	}
 }
 
-// TestPublicAPIExperiments runs one experiment through the facade.
+// TestPublicAPIExperiments runs one experiment through the harness.
 func TestPublicAPIExperiments(t *testing.T) {
 	t.Parallel()
-	if len(sbprivacy.ExperimentIDs()) < 15 {
-		t.Fatalf("ExperimentIDs = %v", sbprivacy.ExperimentIDs())
+	if len(exp.IDs()) < 15 {
+		t.Fatalf("ExperimentIDs = %v", exp.IDs())
 	}
-	r, err := sbprivacy.RunExperiment(context.Background(), "table4", sbprivacy.ExperimentConfig{Hosts: 100, Scale: 1000, Seed: 1})
+	r, err := exp.Run(context.Background(), "table4", exp.Config{Hosts: 100, Scale: 1000, Seed: 1})
 	if err != nil {
 		t.Fatalf("RunExperiment: %v", err)
 	}

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
-	"sbprivacy"
+	"sbprivacy/internal/core"
+	"sbprivacy/internal/probestore"
+	"sbprivacy/internal/stream"
+	"sbprivacy/internal/workload"
 )
 
 // TestStreamingMatchesBatchOnSealedStore is the pipeline's correctness
@@ -20,7 +23,7 @@ func TestStreamingMatchesBatchOnSealedStore(t *testing.T) {
 	defer cancel()
 
 	const days = 5
-	camp, err := sbprivacy.GenerateCampaign(sbprivacy.CampaignConfig{
+	camp, err := workload.Generate(workload.Config{
 		Days: days, Clients: 30, Sites: 20, Seed: 11,
 	})
 	if err != nil {
@@ -28,17 +31,17 @@ func TestStreamingMatchesBatchOnSealedStore(t *testing.T) {
 	}
 
 	urls := camp.IndexExpressions()
-	pipeline := func(window int) *sbprivacy.StreamPipeline {
-		x := sbprivacy.NewIndex(urls)
-		return sbprivacy.NewStreamPipeline(
-			sbprivacy.NewReidentStage(x, window),
-			sbprivacy.NewLinkageStage(x, sbprivacy.LongitudinalConfig{}, window),
+	pipeline := func(window int) *stream.Pipeline {
+		x := core.NewIndex(urls)
+		return stream.NewPipeline(
+			stream.NewReidentStage(x, window),
+			stream.NewLinkageStage(x, core.LongitudinalConfig{}, window),
 		)
 	}
 
 	dir := t.TempDir()
-	store, err := sbprivacy.OpenProbeStore(dir,
-		sbprivacy.WithMaxSegmentBytes(8192)) // several segments
+	store, err := probestore.Open(dir,
+		probestore.WithMaxSegmentBytes(8192)) // several segments
 	if err != nil {
 		t.Fatalf("OpenProbeStore: %v", err)
 	}
@@ -52,8 +55,8 @@ func TestStreamingMatchesBatchOnSealedStore(t *testing.T) {
 
 	// replayStream replays the sealed store through a fresh pipeline
 	// and returns its snapshot.
-	replayStream := func(window int) []sbprivacy.StreamStageSnapshot {
-		ro, err := sbprivacy.OpenProbeStore(dir, sbprivacy.ProbeStoreReadOnly())
+	replayStream := func(window int) []stream.StageSnapshot {
+		ro, err := probestore.Open(dir, probestore.ReadOnly())
 		if err != nil {
 			t.Fatalf("reopen read-only: %v", err)
 		}
@@ -63,7 +66,7 @@ func TestStreamingMatchesBatchOnSealedStore(t *testing.T) {
 			}
 		}()
 		pl := pipeline(window)
-		if err := sbprivacy.StreamReplay(ro, pl); err != nil {
+		if err := stream.Replay(ro, pl); err != nil {
 			t.Fatalf("StreamReplay: %v", err)
 		}
 		return pl.Snapshot()
@@ -113,23 +116,23 @@ func TestWindowedReplayOfCampaignStoreMatchesLive(t *testing.T) {
 	defer cancel()
 
 	const window = 7
-	camp, err := sbprivacy.GenerateCampaign(sbprivacy.CampaignConfig{
+	camp, err := workload.Generate(workload.Config{
 		Days: 14, Clients: 200, Seed: 42,
 	})
 	if err != nil {
 		t.Fatalf("GenerateCampaign: %v", err)
 	}
 	urls := camp.IndexExpressions()
-	pipeline := func() *sbprivacy.StreamPipeline {
-		x := sbprivacy.NewIndex(urls)
-		return sbprivacy.NewStreamPipeline(
-			sbprivacy.NewReidentStage(x, window),
-			sbprivacy.NewLinkageStage(x, sbprivacy.LongitudinalConfig{}, window),
+	pipeline := func() *stream.Pipeline {
+		x := core.NewIndex(urls)
+		return stream.NewPipeline(
+			stream.NewReidentStage(x, window),
+			stream.NewLinkageStage(x, core.LongitudinalConfig{}, window),
 		)
 	}
 
 	dir := t.TempDir()
-	store, err := sbprivacy.OpenProbeStore(dir) // default spill threshold
+	store, err := probestore.Open(dir) // default spill threshold
 	if err != nil {
 		t.Fatalf("OpenProbeStore: %v", err)
 	}
@@ -141,12 +144,12 @@ func TestWindowedReplayOfCampaignStoreMatchesLive(t *testing.T) {
 		t.Fatalf("store.Close: %v", err)
 	}
 
-	ro, err := sbprivacy.OpenProbeStore(dir, sbprivacy.ProbeStoreReadOnly())
+	ro, err := probestore.Open(dir, probestore.ReadOnly())
 	if err != nil {
 		t.Fatalf("reopen read-only: %v", err)
 	}
 	replayed := pipeline()
-	if err := sbprivacy.StreamReplay(ro, replayed); err != nil {
+	if err := stream.Replay(ro, replayed); err != nil {
 		t.Fatalf("StreamReplay: %v", err)
 	}
 	if err := ro.Close(); err != nil {
