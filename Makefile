@@ -122,11 +122,13 @@ race:
 
 # order-check holds the probe pipeline's order contract — delivery
 # order is record order, across clients — at more than one GOMAXPROCS:
-# the pipeline's record-order test and the campaign's byte-identity and
-# global-time-order tests, each twice at -cpu 1 and 4, under the race
-# detector. CI's race-short job calls this.
+# the pipeline's record-order test, the campaign's byte-identity and
+# global-time-order tests, and the tracking equality test (live ==
+# replay == follow, events in record order across cookies), each twice
+# at -cpu 1 and 4, under the race detector. CI's race-short job calls
+# this.
 order-check:
-	$(GO) test -race -cpu 1,4 -count 2 -run 'RecordOrder|ByteIdentical|ProbesAndClock' ./internal/sbserver/ ./internal/workload/
+	$(GO) test -race -cpu 1,4 -count 2 -run 'RecordOrder|ByteIdentical|ProbesAndClock|ReplayFeedsTracker' ./internal/sbserver/ ./internal/workload/ .
 
 bench:
 	$(GO) test -run xxx -bench 'ServerConcurrent|AblationServerSeedDesign' -cpu=1,8 -benchmem .

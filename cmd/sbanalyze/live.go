@@ -65,7 +65,7 @@ func runLive(dir, indexFile string, windowDays int, linkage core.LongitudinalCon
 		return 1
 	}
 
-	pl := newPipeline(index, windowDays, true, linkage)
+	pl := newPipeline(index, windowDays, true, linkage, nil)
 
 	// lastDelivery tracks wall time of the newest probe, for -exit-idle.
 	var lastDelivery atomic.Int64

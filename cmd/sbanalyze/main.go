@@ -36,9 +36,11 @@
 // correlation engine over the replayed window: RULES is a file with one
 // rule per line, "NAME WINDOW URL [URL...]" (WINDOW is a Go duration;
 // URLs are canonicalized, bare "host/path" expressions pass as-is;
-// blank lines and #-comments are skipped). A rule fires when one client
-// queried every listed URL's prefix within the window — the paper's
-// "planning to submit a paper" inference:
+// blank lines and #-comments are skipped; a negative WINDOW is
+// rejected). A rule fires when one client queried every listed URL's
+// prefix within the window — the paper's "planning to submit a paper"
+// inference. The rules ride the same single replay pass as -index and
+// -longitudinal:
 //
 //	sbanalyze -probe-store /tmp/sb-campaign-X -correlator rules.txt -since 2016-03-08
 //
@@ -72,7 +74,9 @@
 // file, and the same flag in replay mode (-probe-store -index
 // [-longitudinal]) writes the replayed snapshot in the identical
 // layout, so live-vs-batch equivalence on a sealed store is a byte
-// diff:
+// diff. The replayed snapshot holds every stage of the replay, so with
+// -correlator it ends in one more section, "== correlation ==", which
+// -live never writes:
 //
 //	sbanalyze -live /tmp/sb-campaign-X -window 7 -refresh 2
 //	sbanalyze -live /tmp/sb-campaign-X -exit-idle 5 -snapshot-out live.txt
@@ -301,25 +305,22 @@ func parseWindow(since, until string) (func(time.Time) bool, error) {
 }
 
 // runReplay is the -probe-store mode: open the log read-only, print the
-// store's shape, then run the re-identification analysis (with -index,
-// plus the day-over-day linkage with -longitudinal), dump one client's
-// history (with -client), and/or run the temporal-correlation rules of
-// a -correlator file. Only probes inside the -since/-until window are
-// analyzed.
+// store's shape and dump one client's history (with -client), then
+// replay the store once through one pipeline: the re-identification
+// analysis (with -index), plus the day-over-day linkage (with
+// -longitudinal), plus the temporal-correlation rules of a -correlator
+// file. Only probes inside the -since/-until window are analyzed.
 func runReplay(dir, indexFile, client string, window func(time.Time) bool, longitudinal bool, linkage core.LongitudinalConfig, correlatorFile, snapshotOut string) int {
 	// Load the correlation rules before touching the store, so a bad
-	// rules file fails fast; the correlator then rides along whichever
-	// replay pass runs anyway instead of streaming the store twice.
-	var corrRules []core.CorrelationRule
-	var corr *core.Correlator
+	// rules file fails fast.
+	var rules []core.CorrelationRule
 	if correlatorFile != "" {
 		var err error
-		corrRules, err = loadRules(correlatorFile)
+		rules, err = loadRules(correlatorFile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sbanalyze: load rules %s: %v\n", correlatorFile, err)
 			return 1
 		}
-		corr = core.NewCorrelator(corrRules...)
 	}
 
 	store, err := probestore.Open(dir, probestore.ReadOnly())
@@ -361,89 +362,63 @@ func runReplay(dir, indexFile, client string, window func(time.Time) bool, longi
 		}
 	}
 
-	corrFed := false
+	var index *core.Index
+	var indexed int
 	if indexFile != "" {
-		index, n, err := loadIndex(indexFile)
-		if err != nil {
+		if index, indexed, err = loadIndex(indexFile); err != nil {
 			fmt.Fprintf(os.Stderr, "sbanalyze: load index %s: %v\n", indexFile, err)
 			return 1
 		}
-		pl := newPipeline(index, 0, longitudinal, linkage)
-		if err := store.Replay(func(p sbserver.Probe) error {
-			if !window(p.Time) {
-				return nil
-			}
-			pl.Observe(p)
-			if corr != nil {
-				corr.Observe(p)
-			}
+	}
+	pl := newPipeline(index, 0, longitudinal, linkage, rules)
+	// A summary-only run counts distinct cookies in the same streaming
+	// pass rather than forcing the store to build its full index.
+	var seen map[string]struct{}
+	if index == nil && client == "" {
+		seen = make(map[string]struct{})
+	}
+	if len(pl.Stages()) == 0 && seen == nil {
+		return 0 // a -client dump needs no replay
+	}
+	if err := store.Replay(func(p sbserver.Probe) error {
+		if !window(p.Time) {
 			return nil
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "sbanalyze: replay: %v\n", err)
-			return 1
 		}
-		corrFed = corr != nil
-		snaps := pl.Snapshot()
-		rep := snaps[0].Report.(*core.Report)
-		fmt.Fprintf(w, "\n== re-identification over %d indexed URLs (%d clients) ==\n", n, len(rep.Clients))
-		w.Flush() //nolint:errcheck // interleave report after table
-		fmt.Print(rep)
-		if longitudinal {
-			fmt.Printf("\n== day-over-day longitudinal analysis ==\n")
-			fmt.Print(snaps[1].Report)
+		if seen != nil {
+			seen[p.ClientID] = struct{}{}
 		}
-		// The canonical snapshot text is what -live writes for its final
-		// snapshot, so a live run and a batch replay of the same sealed
-		// store are comparable with a plain byte diff.
-		if snapshotOut != "" {
-			if err := os.WriteFile(snapshotOut, []byte(renderSnapshotStages(snaps)), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "sbanalyze: write snapshot: %v\n", err)
-				return 1
-			}
-		}
-	} else if client == "" {
-		// Summary-only run: count distinct cookies in one streaming
-		// pass rather than forcing the store to build its full index.
-		seen := make(map[string]struct{})
-		if err := store.Replay(func(p sbserver.Probe) error {
-			if window(p.Time) {
-				seen[p.ClientID] = struct{}{}
-				if corr != nil {
-					corr.Observe(p)
-				}
-			}
-			return nil
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "sbanalyze: replay: %v\n", err)
-			return 1
-		}
-		corrFed = corr != nil
+		pl.Observe(p)
+		return nil
+	}); err != nil {
+		fmt.Fprintf(os.Stderr, "sbanalyze: replay: %v\n", err)
+		return 1
+	}
+	if seen != nil {
 		fmt.Fprintf(w, "distinct clients\t%d\t\n", len(seen))
 		fmt.Fprintln(w, "\n(pass -index urls.txt to run the re-identification analysis,")
 		fmt.Fprintln(w, " or -client COOKIE to dump one client's history)")
 	}
 
-	if corr != nil {
-		// Only a -client-only run reaches here without a full replay
-		// having fed the correlator (ClientHistory streams one cookie).
-		if !corrFed {
-			if err := store.Replay(func(p sbserver.Probe) error {
-				if window(p.Time) {
-					corr.Observe(p)
-				}
-				return nil
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "sbanalyze: replay: %v\n", err)
-				return 1
-			}
+	snaps := pl.Snapshot()
+	for _, s := range snaps {
+		switch rep := s.Report.(type) {
+		case *core.Report:
+			fmt.Fprintf(w, "\n== re-identification over %d indexed URLs (%d clients) ==\n", indexed, len(rep.Clients))
+		case *core.LongitudinalReport:
+			fmt.Fprintf(w, "\n== day-over-day longitudinal analysis ==\n")
+		case stream.CorrelationReport:
+			fmt.Fprintf(w, "\n== temporal correlation (%d rules, %d events) ==\n", len(rules), len(rep))
 		}
-		events := corr.Events()
-		fmt.Fprintf(w, "\n== temporal correlation (%d rules, %d events) ==\n", len(corrRules), len(events))
-		fmt.Fprintln(w, "rule\tclient\tfirst\tlast")
-		for _, e := range events {
-			fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", e.Rule, e.ClientID,
-				e.First.UTC().Format("2006-01-02T15:04:05Z"),
-				e.Last.UTC().Format("2006-01-02T15:04:05Z"))
+		w.Flush() //nolint:errcheck // interleave the report after the table
+		fmt.Print(s.Report)
+	}
+	// The canonical snapshot text is what -live writes for its final
+	// snapshot, so a live run and a batch replay of the same sealed
+	// store are comparable with a plain byte diff.
+	if index != nil && snapshotOut != "" {
+		if err := os.WriteFile(snapshotOut, []byte(renderSnapshotStages(snaps)), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "sbanalyze: write snapshot: %v\n", err)
+			return 1
 		}
 	}
 	return 0
@@ -475,6 +450,9 @@ func loadRules(path string) ([]core.CorrelationRule, error) {
 		window, err := time.ParseDuration(fields[1])
 		if err != nil {
 			return nil, fmt.Errorf("line %d: bad window %q: %w", line, fields[1], err)
+		}
+		if window < 0 {
+			return nil, fmt.Errorf("line %d: negative window %s can never fire", line, fields[1])
 		}
 		exprs := make([]string, len(fields)-2)
 		for i, u := range fields[2:] {
@@ -520,7 +498,7 @@ func runFollow(dir, indexFile, client string, window func(time.Time) bool, poll 
 			fmt.Fprintf(os.Stderr, "sbanalyze: load index %s: %v\n", indexFile, err)
 			return 1
 		}
-		pl = newPipeline(index, 0, false, core.LongitudinalConfig{})
+		pl = newPipeline(index, 0, false, core.LongitudinalConfig{}, nil)
 		fmt.Fprintf(os.Stderr, "sbanalyze: following %s with a %d-URL index; stop with SIGINT\n", dir, n)
 	} else {
 		fmt.Fprintf(os.Stderr, "sbanalyze: following %s; stop with SIGINT\n", dir)
@@ -560,15 +538,21 @@ func runFollow(dir, indexFile, client string, window func(time.Time) bool, poll 
 	return 0
 }
 
-// newPipeline builds the analysis every index-backed mode drives:
-// re-identification, plus day-over-day linkage with the given
+// newPipeline builds the analysis every mode drives: re-identification
+// over index (when non-nil), plus day-over-day linkage with the given
 // thresholds when longitudinal is set, both over the newest windowDays
-// UTC days (0 = unbounded). Replay, follow and live differ only in how
-// they feed it.
-func newPipeline(index *core.Index, windowDays int, longitudinal bool, linkage core.LongitudinalConfig) *stream.Pipeline {
-	stages := []stream.Stage{stream.NewReidentStage(index, windowDays)}
-	if longitudinal {
-		stages = append(stages, stream.NewLinkageStage(index, linkage, windowDays))
+// UTC days (0 = unbounded), plus temporal correlation when rules are
+// given. Replay, follow and live differ only in how they feed it.
+func newPipeline(index *core.Index, windowDays int, longitudinal bool, linkage core.LongitudinalConfig, rules []core.CorrelationRule) *stream.Pipeline {
+	var stages []stream.Stage
+	if index != nil {
+		stages = append(stages, stream.NewReidentStage(index, windowDays))
+		if longitudinal {
+			stages = append(stages, stream.NewLinkageStage(index, linkage, windowDays))
+		}
+	}
+	if len(rules) > 0 {
+		stages = append(stages, stream.NewCorrelationStage(rules...))
 	}
 	return stream.NewPipeline(stages...)
 }

@@ -97,10 +97,11 @@ paper-submit 1h http://cfp.example/ submit.example/deadline
 func TestLoadRulesErrors(t *testing.T) {
 	t.Parallel()
 	for name, content := range map[string]string{
-		"empty":      "\n# only a comment\n",
-		"short-line": "just-a-name 1h\n",
-		"bad-window": "r fortnight a.example/\n",
-		"bad-url":    "r 1h http:///no-host\n",
+		"empty":           "\n# only a comment\n",
+		"short-line":      "just-a-name 1h\n",
+		"bad-window":      "r fortnight a.example/\n",
+		"negative-window": "r -1h a.example/ b.example/\n",
+		"bad-url":         "r 1h http:///no-host\n",
 	} {
 		path := writeRules(t, content)
 		if _, err := loadRules(path); err == nil {
@@ -279,5 +280,87 @@ func TestLiveHonoursLinkageFlags(t *testing.T) {
 	}
 	if live != batch {
 		t.Errorf("live snapshot with loose thresholds differs from the batch one:\n--- live ---\n%s--- batch ---\n%s", live, batch)
+	}
+}
+
+// TestReplayOutputPinned pins runReplay's stdout over one small store
+// and rules file in each replay shape: store only, -index, -index
+// -longitudinal and -client, each against testdata/replay-<shape>.txt
+// (the store directory printed as STORE). Every shape also runs the
+// correlation rules, and the correlation section must read the same in
+// all four, whichever other analyses share the replay.
+func TestReplayOutputPinned(t *testing.T) {
+	dir := t.TempDir()
+	store, err := probestore.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	cfp := hashx.SumPrefix("cfp.example/")
+	submit := hashx.SumPrefix("submit.example/")
+	news := hashx.SumPrefix("news.example/")
+	today := hashx.SumPrefix("news.example/today")
+	day1 := time.Date(2016, 3, 8, 0, 0, 0, 0, time.UTC)
+	day2 := day1.AddDate(0, 0, 1)
+	for _, p := range []sbserver.Probe{
+		{Time: day1.Add(10 * time.Hour), ClientID: "alice", Prefixes: []hashx.Prefix{cfp}},
+		{Time: day1.Add(10 * time.Hour), ClientID: "bob", Prefixes: []hashx.Prefix{cfp}},
+		{Time: day1.Add(10*time.Hour + 20*time.Minute), ClientID: "alice", Prefixes: []hashx.Prefix{submit}},
+		{Time: day1.Add(11 * time.Hour), ClientID: "carol", Prefixes: []hashx.Prefix{news, today}},
+		{Time: day1.Add(13 * time.Hour), ClientID: "bob", Prefixes: []hashx.Prefix{submit}},
+		{Time: day2.Add(9 * time.Hour), ClientID: "alice", Prefixes: []hashx.Prefix{news}},
+		{Time: day2.Add(9*time.Hour + 30*time.Minute), ClientID: "carol", Prefixes: []hashx.Prefix{news, today}},
+		{Time: day2.Add(12 * time.Hour), ClientID: "bob", Prefixes: []hashx.Prefix{cfp}},
+		{Time: day2.Add(12*time.Hour + 30*time.Minute), ClientID: "bob", Prefixes: []hashx.Prefix{submit}},
+	} {
+		store.Observe(p)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	index := filepath.Join(t.TempDir(), "index.urls")
+	if err := os.WriteFile(index, []byte("cfp.example/\nsubmit.example/\nnews.example/\nnews.example/today\n"), 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	rules := writeRules(t, "paper-submit 1h http://cfp.example/ http://submit.example/\nnews-twice 30m news.example/ news.example/today\n")
+	all, err := parseWindow("", "")
+	if err != nil {
+		t.Fatalf("parseWindow: %v", err)
+	}
+
+	const correlation = `
+== temporal correlation (2 rules, 4 events) ==
+rule          client  first                 last
+paper-submit  alice   2016-03-08T10:00:00Z  2016-03-08T10:20:00Z
+news-twice    carol   2016-03-08T11:00:00Z  2016-03-08T11:00:00Z
+news-twice    carol   2016-03-09T09:30:00Z  2016-03-09T09:30:00Z
+paper-submit  bob     2016-03-09T12:00:00Z  2016-03-09T12:30:00Z
+`
+	for _, c := range []struct {
+		name, index, client string
+		longitudinal        bool
+	}{
+		{name: "store-only"},
+		{name: "index", index: index},
+		{name: "index-longitudinal", index: index, longitudinal: true},
+		{name: "client", client: "alice"},
+	} {
+		out, rc := captureStdout(t, func() int {
+			return runReplay(dir, c.index, c.client, all, c.longitudinal, core.LongitudinalConfig{}, rules, "")
+		})
+		if rc != 0 {
+			t.Fatalf("%s: runReplay = %d, output:\n%s", c.name, rc, out)
+		}
+		out = strings.ReplaceAll(out, dir, "STORE")
+		want, err := os.ReadFile(filepath.Join("testdata", "replay-"+c.name+".txt"))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if out != string(want) {
+			t.Errorf("%s: stdout changed:\n--- got ---\n%s--- want ---\n%s", c.name, out, want)
+		}
+		at := strings.Index(out, "\n== temporal correlation")
+		if at < 0 || out[at:] != correlation {
+			t.Errorf("%s: correlation section differs from the pinned one:\n%s", c.name, out)
+		}
 	}
 }

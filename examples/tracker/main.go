@@ -15,6 +15,7 @@ import (
 	"sbprivacy/internal/core"
 	"sbprivacy/internal/sbclient"
 	"sbprivacy/internal/sbserver"
+	"sbprivacy/internal/stream"
 	"sbprivacy/internal/workload"
 )
 
@@ -54,21 +55,20 @@ func main() {
 	// prints the same bytes every time.
 	clock := workload.NewClock(time.Date(2016, time.February, 1, 9, 0, 0, 0, time.UTC))
 
-	// Plant the shadow database and subscribe the observers.
+	// Plant the shadow database and subscribe the observers: one
+	// pipeline of the tracking and correlation stages.
 	server := sbserver.New(sbserver.WithClock(clock.Now))
 	must(server.CreateList(list, "malware"))
-	tracker := core.NewTracker(cfpPlan, dirPlan)
+	tracker := stream.NewTrackStage(cfpPlan, dirPlan)
 	must(server.AddExpressions(list, tracker.ShadowExpressions()))
 	must(server.AddExpressions(list, []string{"petsymposium.org/2016/submission/"}))
-	server.Subscribe(tracker)
-
-	correlator := core.NewCorrelator(core.NewCorrelationRule(
+	correlator := stream.NewCorrelationStage(core.NewCorrelationRule(
 		"planning-to-submit-a-paper",
 		time.Hour,
 		"petsymposium.org/2016/cfp.php",
 		"petsymposium.org/2016/submission/",
 	))
-	server.Subscribe(correlator)
+	server.Subscribe(stream.NewPipeline(tracker, correlator))
 
 	// Three users browse. Each has a stable Safe Browsing cookie — the
 	// identifier the paper's Section 2.2.3 discusses.

@@ -13,6 +13,7 @@ import (
 	"sbprivacy/internal/prefixdb"
 	"sbprivacy/internal/sbclient"
 	"sbprivacy/internal/sbserver"
+	"sbprivacy/internal/stream"
 )
 
 // TestIntegrationFullAttackOverHTTP runs the paper's complete scenario on
@@ -45,7 +46,7 @@ func TestIntegrationFullAttackOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BuildTrackingPlan: %v", err)
 	}
-	tracker := core.NewTracker(plan)
+	tracker := stream.NewTrackStage(plan)
 	const trackingList = "ydx-malware-shavar"
 	if err := server.AddExpressions(trackingList, tracker.ShadowExpressions()); err != nil {
 		t.Fatalf("AddExpressions: %v", err)
@@ -54,14 +55,12 @@ func TestIntegrationFullAttackOverHTTP(t *testing.T) {
 		[]string{"petsymposium.org/2016/submission/"}); err != nil {
 		t.Fatalf("AddExpressions: %v", err)
 	}
-	server.Subscribe(tracker)
-
-	correlator := core.NewCorrelator(core.NewCorrelationRule(
+	correlator := stream.NewCorrelationStage(core.NewCorrelationRule(
 		"pets-author", time.Hour,
 		"petsymposium.org/2016/cfp.php",
 		"petsymposium.org/2016/submission/",
 	))
-	server.Subscribe(correlator)
+	server.Subscribe(stream.NewPipeline(tracker, correlator))
 
 	ts := httptest.NewServer(sbserver.Handler(server))
 	defer ts.Close()
@@ -115,18 +114,14 @@ func TestIntegrationFullAttackOverHTTP(t *testing.T) {
 	// The provider's conclusions. Probe delivery to the tracker and
 	// correlator is asynchronous; flush before reading their state.
 	server.Flush()
-	events := tracker.EventsFor("victim")
-	if len(events) != 1 {
-		t.Fatalf("victim events = %+v", events)
+	// Only the victim is tracked: no bystander's event may appear.
+	events := tracker.Events()
+	if len(events) != 1 || events[0].ClientID != "victim" {
+		t.Fatalf("events = %+v, want one for the victim", events)
 	}
 	if events[0].URL != "petsymposium.org/2016/cfp.php" ||
 		events[0].Certainty.String() != "exact" {
 		t.Errorf("event = %+v", events[0])
-	}
-	for _, b := range []string{"b1", "b2", "b3"} {
-		if got := tracker.EventsFor(b); len(got) != 0 {
-			t.Errorf("bystander %s tracked: %+v", b, got)
-		}
 	}
 	correlations := correlator.Events()
 	if len(correlations) != 1 || correlations[0].ClientID != "victim" ||

@@ -8,6 +8,14 @@ import (
 	"sbprivacy/internal/sbserver"
 )
 
+func probeAt(sec int64, client string, prefixes ...hashx.Prefix) sbserver.Probe {
+	return sbserver.Probe{
+		Time:     time.Unix(sec, 0),
+		ClientID: client,
+		Prefixes: prefixes,
+	}
+}
+
 func TestAggregateProbesWindows(t *testing.T) {
 	t.Parallel()
 	probes := []sbserver.Probe{

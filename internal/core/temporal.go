@@ -1,11 +1,9 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"sbprivacy/internal/hashx"
-	"sbprivacy/internal/sbserver"
 	"sbprivacy/internal/urlx"
 )
 
@@ -38,82 +36,4 @@ type CorrelationEvent struct {
 	ClientID string
 	// First and Last bound the observation span.
 	First, Last time.Time
-}
-
-// Correlator aggregates probes per client and fires rules whose prefixes
-// were all seen within the window. It implements sbserver.ProbeSink.
-// Safe for concurrent use.
-type Correlator struct {
-	mu    sync.Mutex
-	rules []CorrelationRule
-	// lastSeen[client][prefix] is the most recent observation time.
-	lastSeen map[string]map[hashx.Prefix]time.Time
-	events   []CorrelationEvent
-	// fired de-duplicates (client, rule) pairs within a window.
-	fired map[string]time.Time
-}
-
-var _ sbserver.ProbeSink = (*Correlator)(nil)
-
-// NewCorrelator builds a correlator with the given rules.
-func NewCorrelator(rules ...CorrelationRule) *Correlator {
-	return &Correlator{
-		rules:    append([]CorrelationRule(nil), rules...),
-		lastSeen: make(map[string]map[hashx.Prefix]time.Time),
-		fired:    make(map[string]time.Time),
-	}
-}
-
-// Observe implements sbserver.ProbeSink.
-func (c *Correlator) Observe(probe sbserver.Probe) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	seen := c.lastSeen[probe.ClientID]
-	if seen == nil {
-		seen = make(map[hashx.Prefix]time.Time)
-		c.lastSeen[probe.ClientID] = seen
-	}
-	for _, p := range probe.Prefixes {
-		seen[p] = probe.Time
-	}
-	for _, rule := range c.rules {
-		first, last := probe.Time, probe.Time
-		ok := true
-		for _, p := range rule.Prefixes {
-			at, found := seen[p]
-			if !found || probe.Time.Sub(at) > rule.Window {
-				ok = false
-				break
-			}
-			if at.Before(first) {
-				first = at
-			}
-			if at.After(last) {
-				last = at
-			}
-		}
-		if !ok {
-			continue
-		}
-		key := probe.ClientID + "\x00" + rule.Name
-		if prev, dup := c.fired[key]; dup && last.Sub(prev) <= rule.Window {
-			continue // already reported this episode
-		}
-		c.fired[key] = last
-		c.events = append(c.events, CorrelationEvent{
-			Rule:     rule.Name,
-			ClientID: probe.ClientID,
-			First:    first,
-			Last:     last,
-		})
-	}
-}
-
-// Events returns a copy of the fired events.
-func (c *Correlator) Events() []CorrelationEvent {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]CorrelationEvent, len(c.events))
-	copy(out, c.events)
-	return out
 }

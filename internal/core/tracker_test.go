@@ -1,22 +1,36 @@
-package core
+package core_test
 
 import (
 	"context"
 	"testing"
 	"time"
 
-	"sbprivacy/internal/hashx"
+	"sbprivacy/internal/core"
 	"sbprivacy/internal/sbclient"
 	"sbprivacy/internal/sbserver"
+	"sbprivacy/internal/stream"
 )
+
+// petsIndex is the provider's index of the PETS site (the same URLs as
+// the in-package tests' index).
+func petsIndex() *core.Index {
+	return core.NewIndex([]string{
+		"petsymposium.org/",
+		"petsymposium.org/2016/",
+		"petsymposium.org/2016/cfp.php",
+		"petsymposium.org/2016/links.php",
+		"petsymposium.org/2016/faqs.php",
+	})
+}
 
 // trackingFixture wires the full attack of Section 6.3: the provider
 // builds tracking plans from its index, plants the shadow prefixes in a
-// blacklist, subscribes a Tracker to the probe log, and clients browse.
+// blacklist, subscribes a tracking stage to the probe log, and clients
+// browse.
 type trackingFixture struct {
 	server  *sbserver.Server
-	tracker *Tracker
-	index   *Index
+	tracker *stream.TrackStage
+	index   *core.Index
 	clock   *time.Time
 }
 
@@ -29,22 +43,22 @@ func newTrackingFixture(t *testing.T, targets []string, delta int) *trackingFixt
 		t.Fatalf("CreateList: %v", err)
 	}
 
-	var plans []*TrackingPlan
+	var plans []*core.TrackingPlan
 	for _, target := range targets {
-		plan, err := BuildTrackingPlan(f.index, target, delta)
+		plan, err := core.BuildTrackingPlan(f.index, target, delta)
 		if err != nil {
 			t.Fatalf("BuildTrackingPlan(%q): %v", target, err)
 		}
 		plans = append(plans, plan)
 	}
-	f.tracker = NewTracker(plans...)
+	f.tracker = stream.NewTrackStage(plans...)
 
 	// Plant the shadow database: full expressions so the protocol behaves
 	// exactly as for organic blacklist entries.
 	if err := f.server.AddExpressions("goog-malware-shavar", f.tracker.ShadowExpressions()); err != nil {
 		t.Fatalf("AddExpressions: %v", err)
 	}
-	f.server.Subscribe(f.tracker)
+	f.server.Subscribe(stream.NewPipeline(f.tracker))
 	return f
 }
 
@@ -91,13 +105,13 @@ func TestTrackerEndToEnd(t *testing.T) {
 	if ev.ClientID != "victim-cookie" {
 		t.Errorf("event client = %q", ev.ClientID)
 	}
-	if ev.Certainty != CertaintyExact || ev.URL != "petsymposium.org/2016/cfp.php" {
+	if ev.Certainty != core.CertaintyExact || ev.URL != "petsymposium.org/2016/cfp.php" {
 		t.Errorf("event = %+v", ev)
 	}
-	if len(f.tracker.EventsFor("bystander-cookie")) != 0 {
+	if len(eventsFor(events, "bystander-cookie")) != 0 {
 		t.Error("bystander was tracked")
 	}
-	if len(f.tracker.EventsFor("victim-cookie")) != 1 {
+	if len(eventsFor(events, "victim-cookie")) != 1 {
 		t.Error("victim events missing")
 	}
 }
@@ -132,7 +146,7 @@ func TestTrackerColliderCertainty(t *testing.T) {
 	if len(events) != 1 {
 		t.Fatalf("events = %+v", events)
 	}
-	if events[0].Certainty != CertaintyCollider || events[0].URL != "petsymposium.org/2016/links.php" {
+	if events[0].Certainty != core.CertaintyCollider || events[0].URL != "petsymposium.org/2016/links.php" {
 		t.Errorf("event = %+v", events[0])
 	}
 }
@@ -151,7 +165,7 @@ func TestTrackerDomainOnlyMode(t *testing.T) {
 	if len(events) != 1 {
 		t.Fatalf("events = %+v", events)
 	}
-	if events[0].Certainty != CertaintyDomain || events[0].URL != "petsymposium.org/" {
+	if events[0].Certainty != core.CertaintyDomain || events[0].URL != "petsymposium.org/" {
 		t.Errorf("event = %+v", events[0])
 	}
 }
@@ -184,48 +198,46 @@ func TestTrackerCacheSuppressesRepeats(t *testing.T) {
 	}
 }
 
+// TestTrackerAddPlanAndShadow: plans sharing a decomposition plant it
+// once in the shadow database.
 func TestTrackerAddPlanAndShadow(t *testing.T) {
 	t.Parallel()
 	x := petsIndex()
-	planA, err := BuildTrackingPlan(x, "https://petsymposium.org/2016/cfp.php", 0)
+	planA, err := core.BuildTrackingPlan(x, "https://petsymposium.org/2016/cfp.php", 0)
 	if err != nil {
 		t.Fatalf("BuildTrackingPlan: %v", err)
 	}
-	planB, err := BuildTrackingPlan(x, "https://petsymposium.org/2016/links.php", 0)
+	planB, err := core.BuildTrackingPlan(x, "https://petsymposium.org/2016/links.php", 0)
 	if err != nil {
 		t.Fatalf("BuildTrackingPlan: %v", err)
 	}
-	tr := NewTracker(planA)
-	tr.AddPlan(planB)
-	// Shared domain-root prefix appears once in the shadow DB.
-	prefixes := tr.ShadowPrefixes()
-	seen := make(map[hashx.Prefix]int)
-	for _, p := range prefixes {
-		seen[p]++
-	}
-	for p, n := range seen {
-		if n != 1 {
-			t.Errorf("prefix %v appears %d times", p, n)
-		}
-	}
-	if len(prefixes) != 3 { // root, cfp, links
-		t.Errorf("shadow prefixes = %v", prefixes)
-	}
-	if len(tr.ShadowExpressions()) != 3 {
-		t.Errorf("shadow expressions = %v", tr.ShadowExpressions())
+	tr := stream.NewTrackStage(planA, planB)
+	if got := tr.ShadowExpressions(); len(got) != 3 { // root, cfp, links
+		t.Errorf("shadow expressions = %v", got)
 	}
 }
 
 func TestCertaintyStrings(t *testing.T) {
 	t.Parallel()
-	for c, want := range map[Certainty]string{
-		CertaintyDomain:   "domain",
-		CertaintyCollider: "collider",
-		CertaintyExact:    "exact",
-		Certainty(9):      "unknown",
+	for c, want := range map[core.Certainty]string{
+		core.CertaintyDomain:   "domain",
+		core.CertaintyCollider: "collider",
+		core.CertaintyExact:    "exact",
+		core.Certainty(9):      "unknown",
 	} {
 		if c.String() != want {
 			t.Errorf("%d.String() = %q, want %q", c, c.String(), want)
 		}
 	}
+}
+
+// eventsFor filters events down to one client's.
+func eventsFor(events []core.Event, clientID string) []core.Event {
+	var out []core.Event
+	for _, e := range events {
+		if e.ClientID == clientID {
+			out = append(out, e)
+		}
+	}
+	return out
 }

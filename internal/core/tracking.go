@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"sbprivacy/internal/collision"
 	"sbprivacy/internal/hashx"
@@ -177,4 +178,48 @@ func sortPlan(plan *TrackingPlan) {
 			}
 		}
 	}
+}
+
+// Certainty grades a tracking event.
+type Certainty int
+
+// Certainty levels.
+const (
+	// CertaintyDomain: the client visited some URL on the target domain.
+	CertaintyDomain Certainty = iota + 1
+	// CertaintyCollider: the client visited a known Type I collider of
+	// the target.
+	CertaintyCollider
+	// CertaintyExact: the client visited the target URL itself.
+	CertaintyExact
+)
+
+// String names the certainty level.
+func (c Certainty) String() string {
+	switch c {
+	case CertaintyDomain:
+		return "domain"
+	case CertaintyCollider:
+		return "collider"
+	case CertaintyExact:
+		return "exact"
+	default:
+		return "unknown"
+	}
+}
+
+// Event is one tracking observation: a client (identified by its Safe
+// Browsing cookie) matched a plan.
+type Event struct {
+	Time time.Time
+	// ClientID is the Safe Browsing cookie of Section 2.2.3.
+	ClientID string
+	// Target is the plan's target URL.
+	Target string
+	// URL is the most specific URL the observation supports.
+	URL string
+	// Certainty grades the match.
+	Certainty Certainty
+	// MatchedPrefixes are the plan prefixes present in the probe.
+	MatchedPrefixes []hashx.Prefix
 }

@@ -17,7 +17,8 @@
 // keeps one tally per cookie. Each stage accounts for its own resident
 // state (Stats.ResidentCookies, ResidentDays, EvictedRecords), which
 // is what lets a dashboard prove the memory bound instead of asserting
-// it.
+// it. The Section 6.3 stages, TrackStage and CorrelationStage, keep no
+// day state: they record every event they fire, like a W = 0 stage.
 //
 // A Pipeline fans one probe feed into N stages and implements
 // sbserver.ProbeSink, so the same pipeline is drivable from three

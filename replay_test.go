@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -133,9 +134,13 @@ func TestIntegrationReplayMatchesLivePath(t *testing.T) {
 	}
 }
 
-// TestIntegrationReplayFeedsTracker checks the second consumer: the
-// Algorithm 1 tracker draws the same per-client conclusions from a
-// stored log as it does live.
+// TestIntegrationReplayFeedsTracker checks the Section 6.3 consumers:
+// one pipeline of the Algorithm 1 tracking stage and the temporal-
+// correlation stage draws the same conclusions subscribed live, replayed
+// from the sealed store, and fed by a Follow tail of it. A victim reads
+// the CFP, a visitor reads a Type I collider page, and an author reads
+// the CFP then the submission site, all concurrently, so the events
+// interleave across cookies in record order.
 func TestIntegrationReplayFeedsTracker(t *testing.T) {
 	t.Parallel()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -147,9 +152,20 @@ func TestIntegrationReplayFeedsTracker(t *testing.T) {
 		"petsymposium.org/2016/cfp.php",
 		"petsymposium.org/2016/links.php",
 	})
-	plan, err := core.BuildTrackingPlan(index, "https://petsymposium.org/2016/cfp.php", 4)
+	cfpPlan, err := core.BuildTrackingPlan(index, "https://petsymposium.org/2016/cfp.php", 4)
 	if err != nil {
 		t.Fatalf("BuildTrackingPlan: %v", err)
+	}
+	dirPlan, err := core.BuildTrackingPlan(index, "https://petsymposium.org/2016/", 8)
+	if err != nil {
+		t.Fatalf("BuildTrackingPlan: %v", err)
+	}
+	const submission = "petsymposium.org/2016/submission/"
+	pipeline := func() (*stream.Pipeline, *stream.TrackStage, *stream.CorrelationStage) {
+		track := stream.NewTrackStage(cfpPlan, dirPlan)
+		corr := stream.NewCorrelationStage(core.NewCorrelationRule(
+			"pets-author", time.Hour, "petsymposium.org/2016/cfp.php", submission))
+		return stream.NewPipeline(track, corr), track, corr
 	}
 
 	server := sbserver.New()
@@ -157,11 +173,11 @@ func TestIntegrationReplayFeedsTracker(t *testing.T) {
 	if err := server.CreateList(list, "malware"); err != nil {
 		t.Fatalf("CreateList: %v", err)
 	}
-	liveTracker := core.NewTracker(plan)
-	if err := server.AddExpressions(list, liveTracker.ShadowExpressions()); err != nil {
+	live, liveTrack, liveCorr := pipeline()
+	if err := server.AddExpressions(list, append(liveTrack.ShadowExpressions(), submission)); err != nil {
 		t.Fatalf("AddExpressions: %v", err)
 	}
-	server.Subscribe(liveTracker)
+	server.Subscribe(live)
 	dir := t.TempDir()
 	store, err := probestore.Open(dir)
 	if err != nil {
@@ -169,14 +185,29 @@ func TestIntegrationReplayFeedsTracker(t *testing.T) {
 	}
 	server.Subscribe(store)
 
-	victim := sbclient.New(sbclient.LocalTransport{Server: server},
-		[]string{list}, sbclient.WithCookie("victim"))
-	if err := victim.Update(ctx, true); err != nil {
-		t.Fatalf("Update: %v", err)
+	var wg sync.WaitGroup
+	for cookie, urls := range map[string][]string{
+		"victim":  {"https://petsymposium.org/2016/cfp.php"},
+		"visitor": {"https://petsymposium.org/2016/links.php"},
+		"author":  {"https://petsymposium.org/2016/cfp.php", "https://" + submission},
+	} {
+		wg.Add(1)
+		go func(cookie string, urls []string) {
+			defer wg.Done()
+			c := sbclient.New(sbclient.LocalTransport{Server: server},
+				[]string{list}, sbclient.WithCookie(cookie))
+			if err := c.Update(ctx, true); err != nil {
+				t.Errorf("Update(%s): %v", cookie, err)
+				return
+			}
+			for _, u := range urls {
+				if _, err := c.CheckURL(ctx, u); err != nil {
+					t.Errorf("CheckURL(%s): %v", u, err)
+				}
+			}
+		}(cookie, urls)
 	}
-	if _, err := victim.CheckURL(ctx, "https://petsymposium.org/2016/cfp.php"); err != nil {
-		t.Fatalf("CheckURL: %v", err)
-	}
+	wg.Wait()
 	if err := server.Close(); err != nil {
 		t.Fatalf("server.Close: %v", err)
 	}
@@ -184,28 +215,65 @@ func TestIntegrationReplayFeedsTracker(t *testing.T) {
 		t.Fatalf("store.Close: %v", err)
 	}
 
-	replayTracker := core.NewTracker(plan)
+	// Sanity: the live path saw each kind of evidence (the strongest per
+	// client).
+	certainty := make(map[string]core.Certainty)
+	for _, e := range liveTrack.Events() {
+		if e.Certainty > certainty[e.ClientID] {
+			certainty[e.ClientID] = e.Certainty
+		}
+	}
+	if !reflect.DeepEqual(certainty, map[string]core.Certainty{
+		"victim": core.CertaintyExact, "visitor": core.CertaintyCollider, "author": core.CertaintyExact,
+	}) {
+		t.Errorf("live tracking certainty per client = %v", certainty)
+	}
+	if evs := liveCorr.Events(); len(evs) != 1 || evs[0].ClientID != "author" {
+		t.Errorf("live correlation events = %+v, want one for the author", evs)
+	}
+
 	replayStore, err := probestore.Open(dir, probestore.ReadOnly())
 	if err != nil {
 		t.Fatalf("OpenProbeStore read-only: %v", err)
 	}
-	if err := replayStore.Replay(func(p sbserver.Probe) error {
-		replayTracker.Observe(p)
-		return nil
-	}); err != nil {
+	replayed, _, _ := pipeline()
+	if err := stream.Replay(replayStore, replayed); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 
-	liveEvents := liveTracker.EventsFor("victim")
-	replayEvents := replayTracker.EventsFor("victim")
-	if len(liveEvents) != 1 || len(replayEvents) != 1 {
-		t.Fatalf("events: live=%+v replay=%+v", liveEvents, replayEvents)
+	followed, _, _ := pipeline()
+	followCtx, stopFollow := context.WithCancel(ctx)
+	defer stopFollow()
+	followErr := make(chan error, 1)
+	go func() {
+		followErr <- stream.Follow(followCtx, replayStore, followed,
+			probestore.WithFollowPoll(time.Millisecond))
+	}()
+	for followed.Observed() < live.Observed() && ctx.Err() == nil {
+		time.Sleep(time.Millisecond)
 	}
-	le, re := liveEvents[0], replayEvents[0]
+	stopFollow()
+	if err := <-followErr; err != nil {
+		t.Fatalf("Follow: %v", err)
+	}
+
 	// The disk round trip preserves wall time but drops the monotonic
-	// reading, so compare fields, with time.Equal for the timestamp.
-	if !le.Time.Equal(re.Time) || le.URL != re.URL || le.Certainty != re.Certainty ||
-		!reflect.DeepEqual(le.MatchedPrefixes, re.MatchedPrefixes) {
-		t.Errorf("replayed event %+v differs from live event %+v", re, le)
+	// reading, so compare the rendered snapshots, not the structs.
+	want := renderStages(live.Snapshot())
+	if got := renderStages(replayed.Snapshot()); got != want {
+		t.Errorf("replayed snapshot differs from live:\n--- replayed ---\n%s--- live ---\n%s", got, want)
 	}
+	if got := renderStages(followed.Snapshot()); got != want {
+		t.Errorf("followed snapshot differs from live:\n--- followed ---\n%s--- live ---\n%s", got, want)
+	}
+}
+
+// renderStages renders a pipeline snapshot as titled sections, each
+// stage's accounting and report text, the way sbanalyze writes one.
+func renderStages(snaps []stream.StageSnapshot) string {
+	var b strings.Builder
+	for _, s := range snaps {
+		fmt.Fprintf(&b, "== %s (%+v) ==\n%s", s.Name, s.Stats, s.Report)
+	}
+	return b.String()
 }
