@@ -2,14 +2,21 @@ package exp
 
 import (
 	"context"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 var quick = Config{Hosts: 300, Scale: 400, Seed: 9}
 
-// TestAllExperimentsRun: every registered experiment completes and emits
-// a non-trivial table.
+var update = flag.Bool("update", false, "rewrite testdata/golden/<id>.txt from the experiments' output")
+
+// TestAllExperimentsRun: every registered experiment completes, emits a
+// non-trivial table, and prints exactly testdata/golden/<id>.txt at the
+// quick config, in the "=== id: title ===" form cmd/experiments prints.
+// Run with -update to regenerate the goldens after an intended change.
 func TestAllExperimentsRun(t *testing.T) {
 	t.Parallel()
 	results, err := RunAll(context.Background(), quick)
@@ -25,6 +32,21 @@ func TestAllExperimentsRun(t *testing.T) {
 		}
 		if strings.Count(r.Text, "\n") < 2 {
 			t.Errorf("%s: output has fewer than 2 rows", r.ID)
+		}
+		got := "=== " + r.ID + ": " + r.Title + " ===\n" + r.Text + "\n"
+		golden := filepath.Join("testdata", "golden", r.ID+".txt")
+		if *update {
+			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%s: %v (run with -update to create it)", r.ID, err)
+		}
+		if got != string(want) {
+			t.Errorf("%s: output differs from %s:\n--- got ---\n%s--- want ---\n%s", r.ID, golden, got, want)
 		}
 	}
 }
