@@ -376,8 +376,8 @@ func (t *Table) grow() {
 // Add inserts one (rank, list, digest) entry for p, keeping the
 // prefix's chain grouped by ascending rank with insertion order
 // preserved within a rank — the order a full-hash response lists its
-// matches in. Duplicate entries are stored; the caller (the per-list
-// digest set) is the dedup point.
+// matches in. Duplicate entries are stored; deduplicating is the
+// caller's job.
 //
 //sbcheck:hotpath
 func (t *Table) Add(p hashx.Prefix, rank uint32, list string, d hashx.Digest) {
@@ -513,6 +513,23 @@ func (t *Table) Contains(p hashx.Prefix) bool {
 		}
 	}
 	return false
+}
+
+// AppendPrefixes appends to dst, unsorted, every prefix holding an
+// entry of the given rank. It scans both generations' slot arrays, so
+// it costs O(capacity): an audit read, not a lookup.
+func (t *Table) AppendPrefixes(dst []hashx.Prefix, rank uint32) []hashx.Prefix {
+	for _, g := range [...]*gen{&t.cur, &t.old} {
+		for i, c := range g.ctrl {
+			for at := g.heads[i]; c&0x80 != 0 && at >= 0; at = t.entries[at].next {
+				if t.entries[at].rank == rank {
+					dst = append(dst, hashx.Prefix(g.keys[i]))
+					break
+				}
+			}
+		}
+	}
+	return dst
 }
 
 // Len returns the number of live prefixes (slots with a non-empty

@@ -1,6 +1,7 @@
 package sbserver
 
 import (
+	"slices"
 	"sync"
 
 	"sbprivacy/internal/hashx"
@@ -63,15 +64,64 @@ func (x *flatIndex) add(p hashx.Prefix, e indexEntry) {
 	st.t.Add(p, e.rank, e.list, e.digest)
 }
 
-// remove deletes the entry for (rank, digest) under p, if present;
-// removing an absent entry is a no-op.
-//
-//sbcheck:hotpath
-func (x *flatIndex) remove(p hashx.Prefix, rank uint32, d hashx.Digest) {
+// addDigest adds e unless p holds its (rank, digest) already, and
+// reports whether p thereby gained its first entry of e's rank.
+func (x *flatIndex) addDigest(p hashx.Prefix, e indexEntry) (first bool) {
 	st := x.stripe(p)
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	ds := rankDigests(&st.t, p, e.rank)
+	if slices.Contains(ds, e.digest) {
+		return false
+	}
+	st.t.Add(p, e.rank, e.list, e.digest)
+	return len(ds) == 0
+}
+
+// remove deletes the first entry for (rank, digest) under p, if
+// present; removing an absent entry is a no-op. It reports whether the
+// removal took p's last entry of that rank.
+func (x *flatIndex) remove(p hashx.Prefix, rank uint32, d hashx.Digest) (emptied bool) {
+	st := x.stripe(p)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	ds := rankDigests(&st.t, p, rank)
+	if !slices.Contains(ds, d) {
+		return false
+	}
 	st.t.Remove(p, rank, d)
+	return len(ds) == 1
+}
+
+// digests returns p's digests of the given rank in insertion order, nil
+// if none.
+func (x *flatIndex) digests(p hashx.Prefix, rank uint32) []hashx.Digest {
+	st := x.stripe(p)
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return rankDigests(&st.t, p, rank)
+}
+
+// rankDigests is digests for a caller holding p's stripe lock.
+func rankDigests(t *prefixtable.Table, p hashx.Prefix, rank uint32) []hashx.Digest {
+	var out []hashx.Digest
+	for c := t.Find(p); c.Next(); {
+		if r, _, d := c.Entry(); r == rank {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// prefixes appends to dst, unsorted, every prefix with an entry of rank.
+func (x *flatIndex) prefixes(rank uint32, dst []hashx.Prefix) []hashx.Prefix {
+	for i := range x.stripes {
+		st := &x.stripes[i]
+		st.mu.RLock()
+		dst = st.t.AppendPrefixes(dst, rank)
+		st.mu.RUnlock()
+	}
+	return dst
 }
 
 // lookup appends the full-hash entries matching p to dst and returns

@@ -58,7 +58,10 @@ type ProbeSink interface {
 }
 
 // list is the server-side state of one blacklist. Each list carries its
-// own lock, so updates to different lists proceed in parallel.
+// own lock (taken before any index stripe), so updates to different
+// lists proceed in parallel. The list's digests live only in the
+// serving index, as its entries of the list's rank; orphans (paper
+// Section 7.2) have no digest, so the list keeps them itself.
 type list struct {
 	mu          sync.RWMutex
 	name        string
@@ -66,11 +69,8 @@ type list struct {
 	rank        uint32 // creation rank; orders FullHashes entries
 	chunks      []wire.Chunk
 	nextChunk   uint32
-	// byPrefix maps each live prefix to the full digests sharing it; its
-	// key set is the list's live prefix set. Orphan prefixes (paper
-	// Section 7.2) map to an empty slice. This is the list-management
-	// view; the serving path reads the serving index.
-	byPrefix map[hashx.Prefix][]hashx.Digest
+	orphans     map[hashx.Prefix]struct{}
+	live        int // live prefixes, orphans included
 }
 
 // Server is an in-memory Safe Browsing provider. Safe for concurrent use.
@@ -175,7 +175,7 @@ func (s *Server) CreateList(name, description string) error {
 		description: description,
 		rank:        uint32(len(s.listOrder)),
 		nextChunk:   1,
-		byPrefix:    make(map[hashx.Prefix][]hashx.Digest),
+		orphans:     make(map[hashx.Prefix]struct{}),
 	}
 	s.listOrder = append(s.listOrder, name)
 	return nil
@@ -207,7 +207,7 @@ func (s *Server) ListLen(name string) (int, error) {
 	}
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.byPrefix), nil
+	return l.live, nil
 }
 
 // AddExpressions blacklists canonicalized decomposition expressions
@@ -255,21 +255,14 @@ func (s *Server) AddDigests(listName string, digests []hashx.Digest) error {
 	var newPrefixes []hashx.Prefix
 	for _, d := range digests {
 		p := d.Prefix()
-		known := false
-		for _, existing := range l.byPrefix[p] {
-			if existing == d {
-				known = true
-				break
-			}
-		}
-		if known {
+		if !s.idx.addDigest(p, indexEntry{rank: l.rank, list: l.name, digest: d}) {
 			continue
 		}
-		if _, live := l.byPrefix[p]; !live {
+		if _, orphan := l.orphans[p]; !orphan {
+			l.live++
 			newPrefixes = append(newPrefixes, p)
 		}
-		l.byPrefix[p] = append(l.byPrefix[p], d)
-		s.idx.add(p, indexEntry{rank: l.rank, list: l.name, digest: d})
+		delete(l.orphans, p)
 	}
 	if len(newPrefixes) > 0 {
 		l.appendChunk(wire.ChunkAdd, newPrefixes)
@@ -290,10 +283,11 @@ func (s *Server) AddOrphanPrefixes(listName string, prefixes []hashx.Prefix) err
 	defer l.mu.Unlock()
 	var added []hashx.Prefix
 	for _, p := range prefixes {
-		if _, live := l.byPrefix[p]; live {
+		if _, orphan := l.orphans[p]; orphan || s.idx.digests(p, l.rank) != nil {
 			continue
 		}
-		l.byPrefix[p] = nil
+		l.orphans[p] = struct{}{}
+		l.live++
 		added = append(added, p)
 	}
 	if len(added) > 0 {
@@ -302,8 +296,10 @@ func (s *Server) AddOrphanPrefixes(listName string, prefixes []hashx.Prefix) err
 	return nil
 }
 
-// RemoveExpressions removes expressions; prefixes whose digest set
-// becomes empty are retired with a sub chunk.
+// RemoveExpressions removes expressions; prefixes left with no digest
+// in the list are retired with a sub chunk. So an expression the list
+// does not hold retires the orphan on its prefix, if there is one: the
+// only way an orphan leaves a list.
 func (s *Server) RemoveExpressions(listName string, expressions []string) error {
 	l, err := s.getList(listName)
 	if err != nil {
@@ -315,24 +311,13 @@ func (s *Server) RemoveExpressions(listName string, expressions []string) error 
 	for _, e := range expressions {
 		d := hashx.Sum(e)
 		p := d.Prefix()
-		ds, live := l.byPrefix[p]
-		if !live {
+		if _, orphan := l.orphans[p]; orphan {
+			delete(l.orphans, p)
+		} else if !s.idx.remove(p, l.rank, d) {
 			continue
 		}
-		kept := ds[:0]
-		for _, existing := range ds {
-			if existing != d {
-				kept = append(kept, existing)
-			} else {
-				s.idx.remove(p, l.rank, d)
-			}
-		}
-		if len(kept) == 0 {
-			delete(l.byPrefix, p)
-			gone = append(gone, p)
-		} else {
-			l.byPrefix[p] = kept
-		}
+		l.live--
+		gone = append(gone, p)
 	}
 	if len(gone) > 0 {
 		l.appendChunk(wire.ChunkSub, gone)
@@ -341,8 +326,8 @@ func (s *Server) RemoveExpressions(listName string, expressions []string) error 
 }
 
 // appendChunk records a new chunk; the caller holds l.mu and has already
-// applied the chunk's prefixes to byPrefix, so replaying the chunks in
-// order reconstructs the byPrefix key set.
+// applied the chunk's prefixes to the index and the orphan set, so
+// replaying the chunks in order reconstructs the live prefix set.
 func (l *list) appendChunk(typ wire.ChunkType, prefixes []hashx.Prefix) {
 	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i] < prefixes[j] })
 	l.chunks = append(l.chunks, wire.Chunk{
@@ -474,16 +459,17 @@ func (s *Server) ProbeStats() ProbeStats {
 }
 
 // PrefixesOf returns the sorted live prefixes of a list (the view a fresh
-// client downloads). Each call collects and sorts the list's prefix
-// set, so it belongs in set-up and audit code, not on a request path.
+// client downloads). Each call scans the whole serving index for the
+// list's entries and sorts them, so it belongs in set-up and audit
+// code, not on a request path.
 func (s *Server) PrefixesOf(listName string) ([]hashx.Prefix, error) {
 	l, err := s.getList(listName)
 	if err != nil {
 		return nil, err
 	}
 	l.mu.RLock()
-	out := make([]hashx.Prefix, 0, len(l.byPrefix))
-	for p := range l.byPrefix {
+	out := s.idx.prefixes(l.rank, make([]hashx.Prefix, 0, l.live))
+	for p := range l.orphans {
 		out = append(out, p)
 	}
 	l.mu.RUnlock()
@@ -500,9 +486,7 @@ func (s *Server) DigestsOf(listName string, p hashx.Prefix) ([]hashx.Digest, boo
 	}
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	ds, live := l.byPrefix[p]
-	if !live {
-		return nil, false, nil
-	}
-	return append([]hashx.Digest(nil), ds...), true, nil
+	ds := s.idx.digests(p, l.rank)
+	_, orphan := l.orphans[p]
+	return ds, ds != nil || orphan, nil
 }
