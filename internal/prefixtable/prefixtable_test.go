@@ -3,6 +3,7 @@ package prefixtable
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -336,5 +337,53 @@ func TestSizeBytesAndStats(t *testing.T) {
 		if !tab.Contains(hashx.Prefix(k)) {
 			t.Fatalf("lost %v", hashx.Prefix(k))
 		}
+	}
+}
+
+// TestAppendPrefixes holds AppendPrefixes to a per-rank model while the
+// table grows: a prefix is listed for a rank exactly when it has an
+// entry of that rank, whichever generation holds its slot, and a
+// removal of its last such entry takes it out.
+func TestAppendPrefixes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var tab Table
+	model := [3]map[hashx.Prefix][]hashx.Digest{{}, {}, {}}
+	sawGrowing := false
+	for step := 0; step < 6000; step++ {
+		p := hashx.Prefix(uint32(rng.Intn(2000)) * 2654435761)
+		rank := uint32(rng.Intn(3))
+		d := testDigest(p, byte(rng.Intn(2)))
+		if rng.Intn(4) > 0 {
+			tab.Add(p, rank, "l", d)
+			model[rank][p] = append(model[rank][p], d)
+		} else {
+			tab.Remove(p, rank, d)
+			if i := slices.Index(model[rank][p], d); i >= 0 {
+				model[rank][p] = slices.Delete(model[rank][p], i, i+1)
+			}
+			if len(model[rank][p]) == 0 {
+				delete(model[rank], p)
+			}
+		}
+		growing := tab.Stats().Growing
+		if step%100 != 99 && !growing {
+			continue
+		}
+		sawGrowing = sawGrowing || growing
+		for rank, m := range model {
+			got := tab.AppendPrefixes(nil, uint32(rank))
+			slices.Sort(got)
+			want := make([]hashx.Prefix, 0, len(m))
+			for p := range m {
+				want = append(want, p)
+			}
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d rank %d: AppendPrefixes has %d prefixes, model %d", step, rank, len(got), len(want))
+			}
+		}
+	}
+	if !sawGrowing {
+		t.Fatal("no check ran during an incremental growth")
 	}
 }

@@ -2,6 +2,8 @@ package sbserver
 
 import (
 	"errors"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -312,5 +314,48 @@ func TestConcurrentServerAccess(t *testing.T) {
 	n, err := s.ListLen("goog-malware-shavar")
 	if err != nil || n != 8 {
 		t.Errorf("ListLen = %d, %v; want 8", n, err)
+	}
+}
+
+// TestListHeapAtTable2Size bounds the server heap that one list of the
+// paper's Table 2 size (630 428 prefixes) costs: 630 428 seeded random
+// digests must take at most 48 MB after a GC. The serving index is the
+// only record of a list's digests; a second per-list copy (a prefix →
+// digests map) would more than double the figure. Not parallel, so no
+// other test allocates while it measures.
+func TestListHeapAtTable2Size(t *testing.T) {
+	const (
+		n     = 630428
+		bound = 48 << 20
+	)
+	rng := rand.New(rand.NewSource(2016))
+	digests := make([]hashx.Digest, n)
+	prefixes := make(map[hashx.Prefix]struct{}, n)
+	for i := range digests {
+		rng.Read(digests[i][:])
+		prefixes[digests[i].Prefix()] = struct{}{}
+	}
+	want := len(prefixes)
+	prefixes = nil
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := New()
+	if err := s.CreateList("goog-malware-shavar", "malware"); err != nil {
+		t.Fatalf("CreateList: %v", err)
+	}
+	if err := s.AddDigests("goog-malware-shavar", digests); err != nil {
+		t.Fatalf("AddDigests: %v", err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(digests)
+	if got, err := s.ListLen("goog-malware-shavar"); err != nil || got != want {
+		t.Fatalf("ListLen = %d, %v; want %d", got, err, want)
+	}
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("server heap for %d digests: %.1f MB", n, float64(heap)/(1<<20))
+	if heap > bound {
+		t.Errorf("server heap for %d digests = %.1f MB, want <= %d MB", n, float64(heap)/(1<<20), bound>>20)
 	}
 }
