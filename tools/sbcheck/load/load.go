@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"sbprivacy/tools/sbcheck/analysis"
@@ -387,7 +388,8 @@ func (l *Loader) LoadDir(rel string) (*Package, error) {
 			return nil, err
 		}
 		xinfo := newInfo()
-		xtpkg, err := conf.Check(importPath+"_test", l.Fset, xfiles, xinfo)
+		xconf := types.Config{Importer: &xtestImporter{l: l, pkgs: map[string]*types.Package{importPath: tpkg}}}
+		xtpkg, err := xconf.Check(importPath+"_test", l.Fset, xfiles, xinfo)
 		if err != nil {
 			return nil, fmt.Errorf("type-checking %s_test: %w", importPath, err)
 		}
@@ -403,6 +405,69 @@ func (l *Loader) LoadDir(rel string) (*Package, error) {
 	}
 	l.full[rel] = p
 	return p, nil
+}
+
+// xtestImporter resolves the imports of an external test package the
+// way the go tool builds its test binary: the package under test is
+// the one type-checked with its in-package _test.go files (so a helper
+// an export_test.go file exports is visible), and every module package
+// that imports it, directly or not, is checked again against that
+// variant, so the test and its dependencies share one set of types.
+type xtestImporter struct {
+	l    *Loader
+	pkgs map[string]*types.Package // import path -> package as the test sees it
+}
+
+// Import implements types.Importer.
+func (x *xtestImporter) Import(path string) (*types.Package, error) {
+	return x.ImportFrom(path, x.l.Root, 0)
+}
+
+// ImportFrom implements types.ImporterFrom: a module package none of
+// whose module imports resolve to a variant is the shared test-free
+// package; any other is checked again against the variants.
+func (x *xtestImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if p, ok := x.pkgs[path]; ok {
+		return p, nil
+	}
+	base, err := x.l.ImportFrom(path, dir, mode)
+	pkgDir, local := x.l.dirFor(path)
+	if err != nil || !local {
+		return base, err
+	}
+	pkgFiles, _, _, err := x.l.listGoFiles(pkgDir)
+	if err != nil {
+		return nil, err
+	}
+	files, err := x.l.parseAll(pkgFiles)
+	if err != nil {
+		return nil, err
+	}
+	variant := false
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			imp, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				return nil, err
+			}
+			if _, local := x.l.dirFor(imp); !local {
+				continue
+			}
+			p, err := x.ImportFrom(imp, pkgDir, mode)
+			if err != nil {
+				return nil, err
+			}
+			variant = variant || p != x.l.deps[imp]
+		}
+	}
+	if variant {
+		conf := types.Config{Importer: x}
+		if base, err = conf.Check(path, x.l.Fset, files, nil); err != nil {
+			return nil, fmt.Errorf("type-checking %s for its importer's tests: %w", path, err)
+		}
+	}
+	x.pkgs[path] = base
+	return base, nil
 }
 
 // IsTestFile reports whether the file (by position) is a _test.go file.

@@ -2,6 +2,8 @@ package load
 
 import (
 	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -128,5 +130,40 @@ func TestSuppress(t *testing.T) {
 	}
 	if kept[0].Message != "no reason" || kept[1].Message != "wrong analyzer" {
 		t.Errorf("kept wrong diagnostics: %+v", kept)
+	}
+}
+
+// TestXTestSeesExportTest checks that an external test package is
+// type-checked the way the go tool builds it: it sees what the
+// package's export_test.go exports, and a module package it imports
+// that itself imports the package under test hands it values of the
+// same types.
+func TestXTestSeesExportTest(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":              "module tmpmod\n\ngo 1.22\n",
+		"foo/foo.go":          "package foo\n\ntype T struct{ n int }\n\nfunc secret() int { return 42 }\n",
+		"foo/export_test.go":  "package foo\n\nvar SecretForTest = secret\n",
+		"foo/foo_ext_test.go": "package foo_test\n\nimport (\n\t\"tmpmod/bar\"\n\t\"tmpmod/foo\"\n)\n\nvar _ foo.T = bar.Make()\n\nvar _ = foo.SecretForTest()\n",
+		"bar/bar.go":          "package bar\n\nimport \"tmpmod/foo\"\n\nfunc Make() foo.T { return foo.T{} }\n",
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkg, err := l.LoadDir("foo")
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	if pkg.XTest == nil || pkg.XTest.Types.Name() != "foo_test" {
+		t.Fatalf("XTest = %+v, want package foo_test", pkg.XTest)
 	}
 }
