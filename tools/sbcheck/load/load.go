@@ -463,7 +463,7 @@ func (x *xtestImporter) ImportFrom(path, dir string, mode types.ImportMode) (*ty
 	if variant {
 		conf := types.Config{Importer: x}
 		if base, err = conf.Check(path, x.l.Fset, files, nil); err != nil {
-			return nil, fmt.Errorf("type-checking %s for its importer's tests: %w", path, err)
+			return nil, fmt.Errorf("type-checking %s for an external test: %w", path, err)
 		}
 	}
 	x.pkgs[path] = base
