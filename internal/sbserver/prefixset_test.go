@@ -96,13 +96,102 @@ func (m listModel) sortedPrefixes() []hashx.Prefix {
 	return out
 }
 
+// oracleLists are the two lists the list oracle mutates, in creation
+// order: the first is newTestServer's.
+var oracleLists = []string{"goog-malware-shavar", "googpub-phish-shavar"}
+
+// listOracle generates the list oracle's seeded steps. The two lists
+// share one expression universe, so the same expression lands in both
+// lists, an orphan of one list sits on a prefix the other list serves
+// digests for, orphans later gain digests, prefixes carry twin digests,
+// and removals name expressions a list does not hold (retiring an
+// orphan when one sits on the expression's prefix).
+type listOracle struct {
+	rng      *rand.Rand
+	universe []string
+	models   []listModel
+	// seen counts, per case the doc comment names, the steps that
+	// exercised it.
+	seen map[string]int
+}
+
+func newListOracle(seed int64) *listOracle {
+	o := &listOracle{
+		rng:      rand.New(rand.NewSource(seed)),
+		universe: make([]string, 48),
+		models:   []listModel{{}, {}},
+		seen:     map[string]int{},
+	}
+	for i := range o.universe {
+		o.universe[i] = fmt.Sprintf("e%02d.example/", i)
+	}
+	return o
+}
+
+// step applies the next seeded mutation to one of s's oracleLists and
+// to that list's model.
+func (o *listOracle) step(s *Server) error {
+	rng, seen := o.rng, o.seen
+	li := rng.Intn(len(oracleLists))
+	list, m, other := oracleLists[li], o.models[li], o.models[1-li]
+	exprs := make([]string, 1+rng.Intn(6))
+	for i := range exprs {
+		exprs[i] = o.universe[rng.Intn(len(o.universe))]
+	}
+	switch rng.Intn(6) {
+	case 0: // plain digests
+		ds := make([]hashx.Digest, len(exprs))
+		for i, e := range exprs {
+			ds[i] = hashx.Sum(e)
+			if slices.Contains(other[ds[i].Prefix()], ds[i]) {
+				seen["same expression in both lists"]++
+			}
+			if ds, live := m[ds[i].Prefix()]; live && len(ds) == 0 {
+				seen["orphan gains a digest"]++
+			}
+		}
+		m.addDigests(ds)
+		return s.AddExpressions(list, exprs)
+	case 1: // each digest plus a twin sharing its prefix
+		var ds []hashx.Digest
+		for _, e := range exprs {
+			d := hashx.Sum(e)
+			twin := d
+			twin[31] ^= 0x5a
+			ds = append(ds, d, twin)
+		}
+		seen["twin digests on one prefix"]++
+		m.addDigests(ds)
+		return s.AddDigests(list, ds)
+	case 2: // orphans, some over already-live prefixes
+		ps := make([]hashx.Prefix, len(exprs))
+		for i, e := range exprs {
+			ps[i] = hashx.SumPrefix(e)
+			if _, live := m[ps[i]]; !live && len(other[ps[i]]) > 0 {
+				seen["orphan on a prefix the other list serves"]++
+			}
+		}
+		m.addOrphans(ps)
+		return s.AddOrphanPrefixes(list, ps)
+	default: // removals (half the steps), some of absent expressions
+		for _, e := range exprs {
+			d := hashx.Sum(e)
+			ds, live := m[d.Prefix()]
+			if !slices.Contains(ds, d) {
+				seen["removal of an absent expression"]++
+			}
+			if live && len(ds) == 0 {
+				seen["absent expression retires an orphan"]++
+			}
+		}
+		m.remove(exprs)
+		return s.RemoveExpressions(list, exprs)
+	}
+}
+
 // TestPrefixSetMatchesChunkReplay holds the server's list management to
-// a map model over two lists that share one expression universe, so
-// the same expression lands in both lists, an orphan of one list sits
-// on a prefix the other list serves digests for, orphans later gain
-// digests, prefixes carry twin digests, and removals name expressions
-// a list does not hold (retiring an orphan when one sits on the
-// expression's prefix). After every step, for both lists:
+// a map model over the listOracle's steps. After every step, for both
+// lists:
 //   - ListLen is the model's size;
 //   - PrefixesOf is strictly ascending, equals the model's prefix set
 //     and what a fresh client reconstructs from Download;
@@ -110,99 +199,32 @@ func (m listModel) sortedPrefixes() []hashx.Prefix {
 //     the same digests in the same order, and the same live flag;
 //
 // and one FullHashes request over the whole universe returns, per
-// prefix, each list's digests in list-rank order. Each of those cases
-// must occur for every seed, so a narrowed universe cannot quietly
-// stop exercising them.
+// prefix, each list's digests in list-rank order. Each of the cases
+// listOracle names must occur for every seed, so a narrowed universe
+// cannot quietly stop exercising them.
 func TestPrefixSetMatchesChunkReplay(t *testing.T) {
 	t.Parallel()
-	lists := []string{"goog-malware-shavar", "googpub-phish-shavar"}
-	universe := make([]string, 48)
-	prefixes := make([]hashx.Prefix, len(universe))
-	for i := range universe {
-		universe[i] = fmt.Sprintf("e%02d.example/", i)
-		prefixes[i] = hashx.SumPrefix(universe[i])
-	}
 	for _, seed := range []int64{1, 2, 3, 2015} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
-			pick := func() []string {
-				out := make([]string, 1+rng.Intn(6))
-				for i := range out {
-					out[i] = universe[rng.Intn(len(universe))]
-				}
-				return out
+			o := newListOracle(seed)
+			prefixes := make([]hashx.Prefix, len(o.universe))
+			for i, e := range o.universe {
+				prefixes[i] = hashx.SumPrefix(e)
 			}
 			s := newTestServer(t)
-			if err := s.CreateList(lists[1], "phishing"); err != nil {
+			if err := s.CreateList(oracleLists[1], "phishing"); err != nil {
 				t.Fatalf("CreateList: %v", err)
 			}
-			models := []listModel{{}, {}}
-			// seen counts, per case the doc comment names, the steps
-			// that exercised it.
-			seen := map[string]int{}
 			for step := 0; step < 600; step++ {
-				li := rng.Intn(len(lists))
-				list, m, other := lists[li], models[li], models[1-li]
-				exprs := pick()
-				var err error
-				switch rng.Intn(6) {
-				case 0: // plain digests
-					ds := make([]hashx.Digest, len(exprs))
-					for i, e := range exprs {
-						ds[i] = hashx.Sum(e)
-						if slices.Contains(other[ds[i].Prefix()], ds[i]) {
-							seen["same expression in both lists"]++
-						}
-						if ds, live := m[ds[i].Prefix()]; live && len(ds) == 0 {
-							seen["orphan gains a digest"]++
-						}
-					}
-					err = s.AddExpressions(list, exprs)
-					m.addDigests(ds)
-				case 1: // each digest plus a twin sharing its prefix
-					var ds []hashx.Digest
-					for _, e := range exprs {
-						d := hashx.Sum(e)
-						twin := d
-						twin[31] ^= 0x5a
-						ds = append(ds, d, twin)
-					}
-					seen["twin digests on one prefix"]++
-					err = s.AddDigests(list, ds)
-					m.addDigests(ds)
-				case 2: // orphans, some over already-live prefixes
-					ps := make([]hashx.Prefix, len(exprs))
-					for i, e := range exprs {
-						ps[i] = hashx.SumPrefix(e)
-						if _, live := m[ps[i]]; !live && len(other[ps[i]]) > 0 {
-							seen["orphan on a prefix the other list serves"]++
-						}
-					}
-					err = s.AddOrphanPrefixes(list, ps)
-					m.addOrphans(ps)
-				default: // removals (half the steps), some of absent expressions
-					for _, e := range exprs {
-						d := hashx.Sum(e)
-						ds, live := m[d.Prefix()]
-						if !slices.Contains(ds, d) {
-							seen["removal of an absent expression"]++
-						}
-						if live && len(ds) == 0 {
-							seen["absent expression retires an orphan"]++
-						}
-					}
-					err = s.RemoveExpressions(list, exprs)
-					m.remove(exprs)
-				}
-				if err != nil {
+				if err := o.step(s); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				for li, list := range lists {
-					checkListAgainstModel(t, s, list, models[li], prefixes, fmt.Sprintf("step %d: %s", step, list))
+				for li, list := range oracleLists {
+					checkListAgainstModel(t, s, list, o.models[li], prefixes, fmt.Sprintf("step %d: %s", step, list))
 				}
-				checkFullHashesAgainstModels(t, s, lists, models, prefixes, fmt.Sprintf("step %d", step))
+				checkFullHashesAgainstModels(t, s, oracleLists, o.models, prefixes, fmt.Sprintf("step %d", step))
 			}
 			for _, c := range []string{
 				"same expression in both lists",
@@ -212,7 +234,7 @@ func TestPrefixSetMatchesChunkReplay(t *testing.T) {
 				"removal of an absent expression",
 				"absent expression retires an orphan",
 			} {
-				if seen[c] == 0 {
+				if o.seen[c] == 0 {
 					t.Errorf("no step exercised %q", c)
 				}
 			}
