@@ -4,7 +4,7 @@
 // lookups at memory speed.
 //
 // The table maps a 32-bit hashx.Prefix to the ordered set of
-// (rank, list, digest) entries served for it. Layout:
+// (rank, digest) entries served for it; a rank names one list. Layout:
 //
 //   - an open-addressing slot array probed linearly, split into three
 //     parallel dense arrays: one control byte per slot (empty /
@@ -12,19 +12,20 @@
 //     the head of the slot's entry chain. A probe touches only the
 //     control bytes until the fragment matches, so one 64-byte cache
 //     line screens 64 candidate slots;
-//   - a dense side array of fixed-size entries (digest, rank, interned
-//     list id, next link) chained per prefix in ascending rank order,
-//     recycled through a free list on removal;
+//   - a dense side array of fixed-size entries (digest, rank, next
+//     link) chained per prefix in ascending rank order, at most one
+//     entry per (rank, digest), recycled through a free list on
+//     removal; list names sit in a slice indexed by rank;
 //   - xxhash-style avalanche mixing of the key, so slot choice stays
 //     uniform even for adversarially structured prefixes (sequential
 //     orphan prefixes, targeted-injection patterns);
 //   - bounded probe distance: an insert that would probe past
 //     maxProbe slots triggers a growth instead, so lookup cost stays
 //     O(maxProbe) worst-case rather than degrading with clustering;
-//   - incremental growth: a grown table migrates a fixed number of
-//     slots per mutation (plus the slot of the key being touched), so
-//     a Downloads-driven add/remove burst never stalls the serving
-//     path behind a full rehash.
+//   - one-pass growth: a growth rehashes every slot into a fresh array
+//     at once. The serving layer splits the index into 128 tables, so
+//     a rehash moves one table's slots, and every list mutation runs
+//     before the server takes traffic.
 //
 // The zero Table is empty and ready to use. A Table is not safe for
 // concurrent use; the serving layer (internal/sbserver) stripes tables
@@ -32,6 +33,8 @@
 package prefixtable
 
 import (
+	"unsafe"
+
 	"sbprivacy/internal/hashx"
 )
 
@@ -51,28 +54,21 @@ const (
 	ctrlTombstone = 0x01
 )
 
-// minCap is the slot count of a freshly initialized generation: one
-// cache line of control bytes.
+// minCap is the slot count of a freshly initialized table: one cache
+// line of control bytes.
 const minCap = 64
 
 // maxProbe bounds the linear probe distance. An insert that would walk
 // further triggers a growth instead, so a lookup never scans more than
-// maxProbe control bytes (two cache lines) per generation for keys
-// placed under the bound. At the 3/4 load ceiling, clusters that long
-// are rare enough that bound-triggered growth stays exceptional.
+// maxProbe control bytes (two cache lines) for keys placed under the
+// bound. At the 3/4 load ceiling, clusters that long are rare enough
+// that bound-triggered growth stays exceptional.
 const maxProbe = 128
 
-// migrateStep is the number of old-generation slots every mutation
-// migrates. 4 drains a full old generation long before the doubled
-// generation can refill to its growth threshold (capacity/4 mutations
-// versus at least 3/4·capacity inserts), so at most one migration is
-// ever pending.
-const migrateStep = 4
-
-// maxLoadNum/maxLoadDen set the occupancy threshold (live + tombstones
-// + pending migration) past which a generation grows: 3/4. Linear
-// probing keeps clusters short at this ceiling, which is what lets
-// maxProbe hold as a practical bound.
+// maxLoadNum/maxLoadDen set the occupancy threshold (live + tombstones)
+// past which the table grows: 3/4. Linear probing keeps clusters short
+// at this ceiling, which is what lets maxProbe hold as a practical
+// bound.
 const (
 	maxLoadNum = 3
 	maxLoadDen = 4
@@ -97,152 +93,36 @@ func mix(key uint32) uint32 {
 	return h
 }
 
-// entry is one (rank, list, digest) record served for a prefix, linked
+// entry is one (rank, digest) record served for a prefix, linked
 // per-prefix in ascending rank order through the table's dense side
 // array.
 type entry struct {
 	digest hashx.Digest
 	rank   uint32
-	listID uint32
 	next   int32 // side-array index of the next entry; -1 terminates
 }
 
-// gen is one generation of the open-addressing slot arrays. During an
-// incremental growth two generations are live: inserts go to the new
-// one, lookups consult both, and mutations migrate old slots over a
-// few at a time.
-type gen struct {
-	ctrl  []uint8  // per-slot control byte
-	keys  []uint32 // per-slot prefix
-	heads []int32  // per-slot entry-chain head
-	mask  uint32   // len(ctrl)-1; len is always a power of two
-	live  int      // occupied slots
-	dead  int      // tombstoned slots
-}
-
-// initGen allocates a generation of the given power-of-two capacity.
-func (g *gen) initGen(capacity int) {
-	g.ctrl = make([]uint8, capacity)
-	g.keys = make([]uint32, capacity)
-	g.heads = make([]int32, capacity)
-	g.mask = uint32(capacity - 1)
-	g.live = 0
-	g.dead = 0
-}
-
-// find returns the slot index holding key, scanning control bytes from
-// the mixed hash position until the key matches or an empty slot
-// proves absence.
-//
-//sbcheck:hotpath
-func (g *gen) find(key uint32) (uint32, bool) {
-	if g.ctrl == nil {
-		return 0, false
-	}
-	h := mix(key)
-	want := uint8(0x80 | h>>25)
-	i := h & g.mask
-	for n := uint32(0); n <= g.mask; n++ {
-		c := g.ctrl[i]
-		if c == want && g.keys[i] == key {
-			return i, true
-		}
-		if c == ctrlEmpty {
-			return 0, false
-		}
-		i = (i + 1) & g.mask
-	}
-	return 0, false
-}
-
-// insertFresh places a key known to be absent, reusing the first
-// tombstone or empty slot on its probe path. Used by migration and by
-// claim's post-growth retry; capacity is guaranteed by the caller.
-func (g *gen) insertFresh(key uint32, head int32) {
-	h := mix(key)
-	i := h & g.mask
-	for {
-		c := g.ctrl[i]
-		if c == ctrlEmpty || c == ctrlTombstone {
-			if c == ctrlTombstone {
-				g.dead--
-			}
-			g.ctrl[i] = uint8(0x80 | h>>25)
-			g.keys[i] = key
-			g.heads[i] = head
-			g.live++
-			return
-		}
-		i = (i + 1) & g.mask
-	}
-}
-
-// claim finds the slot for key, or claims one if absent. It reports
-// whether the key already existed and whether the probe stayed within
-// the maxProbe bound; on ok == false nothing was claimed and the
-// caller must grow and retry.
-func (g *gen) claim(key uint32) (slot uint32, existed, ok bool) {
-	h := mix(key)
-	want := uint8(0x80 | h>>25)
-	i := h & g.mask
-	reuse := uint32(0)
-	haveReuse := false
-	for n := uint32(0); n <= g.mask; n++ {
-		c := g.ctrl[i]
-		if c == want && g.keys[i] == key {
-			return i, true, true
-		}
-		if c == ctrlEmpty {
-			if n >= maxProbe && !haveReuse {
-				return 0, false, false
-			}
-			if haveReuse {
-				i = reuse
-				g.dead--
-			}
-			g.ctrl[i] = want
-			g.keys[i] = key
-			g.live++
-			return i, false, true
-		}
-		if c == ctrlTombstone && !haveReuse {
-			reuse, haveReuse = i, true
-		}
-		i = (i + 1) & g.mask
-	}
-	// The scan wrapped: every slot is occupied or tombstoned. Reuse a
-	// tombstone if one exists, else the generation is truly full.
-	if haveReuse {
-		g.ctrl[reuse] = want
-		g.keys[reuse] = key
-		g.dead--
-		g.live++
-		return reuse, false, true
-	}
-	return 0, false, false
-}
+// entryBytes is the side-array cost of one entry.
+const entryBytes = int(unsafe.Sizeof(entry{}))
 
 // Table is the flat open-addressing prefix index. The zero value is an
 // empty table ready for use. Not safe for concurrent use.
 type Table struct {
-	cur gen // insert generation
-	old gen // draining generation during incremental growth (ctrl == nil otherwise)
+	ctrl  []uint8  // per-slot control byte
+	keys  []uint32 // per-slot prefix
+	heads []int32  // per-slot entry-chain head
+	mask  uint32   // len(ctrl)-1; len is always a power of two
+	live  int      // occupied slots: the live prefixes
+	dead  int      // tombstoned slots
 
-	migrateNext uint32 // next old slot to examine
+	entries []entry
+	free    int32 // 1 + side-array index of the first free entry; 0 = none
 
-	entries  []entry
-	freeHead int32 // entry free-list head; -1 (or 0 on a zero Table before first use) = none
-	freeLen  int
-
-	lists   []string
-	listIDs map[string]uint32
-
-	n     int // live prefixes across both generations
-	grows int // completed growth triggers (stats)
+	lists []string // list name by rank
 }
 
 // New returns a table pre-sized for hint prefixes, so the build of a
-// list at a known size performs no incremental growths at all.
+// list at a known size performs no growths at all.
 func New(hint int) *Table {
 	t := &Table{}
 	if hint > 0 {
@@ -250,37 +130,104 @@ func New(hint int) *Table {
 		for capacity*maxLoadNum < hint*maxLoadDen {
 			capacity *= 2
 		}
-		t.cur.initGen(capacity)
+		t.initSlots(capacity)
 	}
-	t.freeHead = -1
 	return t
 }
 
-// internList maps a list name to its dense id, interning new names.
-func (t *Table) internList(list string) uint32 {
-	if t.listIDs == nil {
-		t.listIDs = make(map[string]uint32, 4)
+// initSlots replaces the slot arrays with empty ones of the given
+// power-of-two capacity.
+func (t *Table) initSlots(capacity int) {
+	t.ctrl = make([]uint8, capacity)
+	t.keys = make([]uint32, capacity)
+	t.heads = make([]int32, capacity)
+	t.mask = uint32(capacity - 1)
+	t.live = 0
+	t.dead = 0
+}
+
+// find returns the slot index holding key, scanning control bytes from
+// the mixed hash position until the key matches or an empty slot
+// proves absence.
+//
+//sbcheck:hotpath
+func (t *Table) find(key uint32) (uint32, bool) {
+	if t.ctrl == nil {
+		return 0, false
 	}
-	if id, ok := t.listIDs[list]; ok {
-		return id
+	h := mix(key)
+	want := uint8(0x80 | h>>25)
+	i := h & t.mask
+	for n := uint32(0); n <= t.mask; n++ {
+		c := t.ctrl[i]
+		if c == want && t.keys[i] == key {
+			return i, true
+		}
+		if c == ctrlEmpty {
+			return 0, false
+		}
+		i = (i + 1) & t.mask
 	}
-	id := uint32(len(t.lists))
-	t.lists = append(t.lists, list)
-	t.listIDs[list] = id
-	return id
+	return 0, false
+}
+
+// insertFresh places a key known to be absent in the first empty slot
+// on its probe path. Used by grow on arrays without tombstones, whose
+// capacity is guaranteed by the caller.
+func (t *Table) insertFresh(key uint32, head int32) {
+	h := mix(key)
+	i := h & t.mask
+	for t.ctrl[i] != ctrlEmpty {
+		i = (i + 1) & t.mask
+	}
+	t.ctrl[i] = uint8(0x80 | h>>25)
+	t.keys[i] = key
+	t.heads[i] = head
+	t.live++
+}
+
+// claim finds the slot for key, or claims one if absent, reusing the
+// first tombstone on the probe path. It reports whether the key already
+// existed and whether the probe stayed within the maxProbe bound; on
+// ok == false nothing was claimed and the caller must grow and retry.
+// The load ceiling keeps a quarter of the slots empty, so every probe
+// ends.
+func (t *Table) claim(key uint32) (slot uint32, existed, ok bool) {
+	h := mix(key)
+	want := uint8(0x80 | h>>25)
+	i := h & t.mask
+	reuse, haveReuse := uint32(0), false
+	for n := uint32(0); ; n++ {
+		c := t.ctrl[i]
+		if c == want && t.keys[i] == key {
+			return i, true, true
+		}
+		if c == ctrlTombstone && !haveReuse {
+			reuse, haveReuse = i, true
+		}
+		if c == ctrlEmpty {
+			if haveReuse {
+				t.dead--
+			} else if n >= maxProbe {
+				return 0, false, false
+			} else {
+				reuse = i
+			}
+			t.ctrl[reuse] = want
+			t.keys[reuse] = key
+			t.live++
+			return reuse, false, true
+		}
+		i = (i + 1) & t.mask
+	}
 }
 
 // allocEntry stores e in the side array, recycling the free list.
 func (t *Table) allocEntry(e entry) int32 {
-	if t.entries == nil {
-		// First use of a zero Table: establish the free-list sentinel.
-		t.freeHead = -1
-	}
-	if t.freeHead >= 0 {
-		i := t.freeHead
-		t.freeHead = t.entries[i].next
+	if t.free > 0 {
+		i := t.free - 1
+		t.free = t.entries[i].next + 1
 		t.entries[i] = e
-		t.freeLen--
 		return i
 	}
 	t.entries = append(t.entries, e)
@@ -289,168 +236,120 @@ func (t *Table) allocEntry(e entry) int32 {
 
 // freeEntry returns side-array index i to the free list.
 func (t *Table) freeEntry(i int32) {
-	t.entries[i] = entry{next: t.freeHead}
-	t.freeHead = i
-	t.freeLen++
+	t.entries[i] = entry{next: t.free - 1}
+	t.free = i + 1
 }
 
-// migrate moves up to n occupied slots from the draining generation
-// into the current one. The last step clears the old generation.
-func (t *Table) migrate(n int) {
-	if t.old.ctrl == nil {
-		return
-	}
-	for n > 0 {
-		if t.migrateNext > t.old.mask {
-			t.old = gen{}
-			return
-		}
-		i := t.migrateNext
-		t.migrateNext++
-		if t.old.ctrl[i]&0x80 != 0 {
-			t.cur.insertFresh(t.old.keys[i], t.old.heads[i])
-			t.old.ctrl[i] = ctrlTombstone
-			t.old.live--
-			n--
-		}
-	}
-	if t.migrateNext > t.old.mask {
-		t.old = gen{}
-	}
-}
-
-// finishMigration drains the old generation completely. Called before
-// a new growth begins, so at most one migration is ever pending.
-func (t *Table) finishMigration() {
-	for t.old.ctrl != nil {
-		t.migrate(1 << 16)
-	}
-}
-
-// pull relocates key's slot from the draining generation into the
-// current one, preserving the invariant that a prefix lives in exactly
-// one generation before any mutation touches its chain.
-func (t *Table) pull(key uint32) {
-	if t.old.ctrl == nil {
-		return
-	}
-	if i, ok := t.old.find(key); ok {
-		t.cur.insertFresh(key, t.old.heads[i])
-		t.old.ctrl[i] = ctrlTombstone
-		t.old.live--
-	}
-}
-
-// maybeGrow starts a growth when the current generation's projected
-// occupancy (live + tombstones + slots still to migrate in) crosses
-// the load threshold. Growth is incremental: this only swaps the
-// generations; migration happens migrateStep slots per mutation.
+// maybeGrow grows the table when its occupancy (live + tombstones)
+// crosses the load threshold.
 func (t *Table) maybeGrow() {
-	if t.cur.ctrl == nil {
-		t.cur.initGen(minCap)
+	if t.ctrl == nil {
+		t.initSlots(minCap)
 		return
 	}
-	projected := t.cur.live + t.cur.dead + t.old.live
-	if projected*maxLoadDen < len(t.cur.ctrl)*maxLoadNum {
+	if (t.live+t.dead)*maxLoadDen < len(t.ctrl)*maxLoadNum {
 		return
 	}
 	t.grow()
 }
 
-// grow finishes any pending migration, then swaps in a fresh
-// generation: doubled when occupancy is real growth, same-sized when
-// tombstones dominate (a remove-heavy phase just needs a rehash).
+// grow rehashes every live slot into fresh arrays in one pass: doubled
+// when occupancy is real growth, same-sized when tombstones dominate (a
+// remove-heavy phase just needs a rehash). Entry chains stay where they
+// are; only their heads move.
 func (t *Table) grow() {
-	t.finishMigration()
-	capacity := len(t.cur.ctrl) * 2
-	if t.cur.dead > t.cur.live {
-		capacity = len(t.cur.ctrl)
+	capacity := len(t.ctrl) * 2
+	if t.dead > t.live {
+		capacity = len(t.ctrl)
 	}
-	t.old = t.cur
-	t.cur = gen{}
-	t.cur.initGen(capacity)
-	t.migrateNext = 0
-	t.grows++
+	ctrl, keys, heads := t.ctrl, t.keys, t.heads
+	t.initSlots(capacity)
+	for i, c := range ctrl {
+		if c&0x80 != 0 {
+			t.insertFresh(keys[i], heads[i])
+		}
+	}
 }
 
-// Add inserts one (rank, list, digest) entry for p, keeping the
-// prefix's chain grouped by ascending rank with insertion order
-// preserved within a rank — the order a full-hash response lists its
-// matches in. Duplicate entries are stored; deduplicating is the
-// caller's job.
+// Add inserts a (rank, list, digest) entry for p unless p already holds
+// that (rank, digest), keeping the prefix's chain grouped by ascending
+// rank with insertion order preserved within a rank — the order a
+// full-hash response lists its matches in. It reports whether p gained
+// its first entry of rank. A rank names one list: list is the name the
+// table serves for rank.
 //
 //sbcheck:hotpath
-func (t *Table) Add(p hashx.Prefix, rank uint32, list string, d hashx.Digest) {
-	key := uint32(p)
+func (t *Table) Add(p hashx.Prefix, rank uint32, list string, d hashx.Digest) (first bool) {
 	t.maybeGrow()
-	t.migrate(migrateStep)
-	t.pull(key)
-	slot, existed, ok := t.cur.claim(key)
+	slot, existed, ok := t.claim(uint32(p))
 	for !ok {
 		t.grow()
-		t.finishMigration()
-		slot, existed, ok = t.cur.claim(key)
+		slot, existed, ok = t.claim(uint32(p))
 	}
-	idx := t.allocEntry(entry{digest: d, rank: rank, listID: t.internList(list), next: -1})
 	if !existed {
-		t.cur.heads[slot] = idx
-		t.n++
-		return
+		t.heads[slot] = -1
 	}
-	// Insert after every entry with rank <= rank (stable within rank).
-	head := t.cur.heads[slot]
-	if t.entries[head].rank > rank {
-		t.entries[idx].next = head
-		t.cur.heads[slot] = idx
-		return
-	}
-	at := head
-	for t.entries[at].next >= 0 && t.entries[t.entries[at].next].rank <= rank {
-		at = t.entries[at].next
-	}
-	t.entries[idx].next = t.entries[at].next
-	t.entries[at].next = idx
-}
-
-// Remove deletes the first entry matching (rank, d) under p, if
-// present; removing an absent entry is a no-op. A prefix whose chain
-// empties is deleted from the slot array.
-//
-//sbcheck:hotpath
-func (t *Table) Remove(p hashx.Prefix, rank uint32, d hashx.Digest) {
-	key := uint32(p)
-	if t.cur.ctrl == nil {
-		return
-	}
-	t.migrate(migrateStep)
-	t.pull(key)
-	slot, ok := t.cur.find(key)
-	if !ok {
-		return
-	}
-	head := t.cur.heads[slot]
+	// Walk past every entry with rank <= rank (stable within rank).
 	prev := int32(-1)
-	for at := head; at >= 0; at = t.entries[at].next {
-		e := &t.entries[at]
-		if e.rank == rank && e.digest == d {
-			next := e.next
-			if prev < 0 {
-				if next < 0 {
-					t.cur.ctrl[slot] = ctrlTombstone
-					t.cur.live--
-					t.cur.dead++
-					t.n--
-				} else {
-					t.cur.heads[slot] = next
-				}
-			} else {
-				t.entries[prev].next = next
+	first = true
+	for at := t.heads[slot]; at >= 0 && t.entries[at].rank <= rank; at = t.entries[at].next {
+		if e := &t.entries[at]; e.rank == rank {
+			if e.digest == d {
+				return false
 			}
-			t.freeEntry(at)
-			return
+			first = false
 		}
 		prev = at
 	}
+	idx := t.allocEntry(entry{digest: d, rank: rank})
+	if prev < 0 {
+		t.entries[idx].next, t.heads[slot] = t.heads[slot], idx
+	} else {
+		t.entries[idx].next, t.entries[prev].next = t.entries[prev].next, idx
+	}
+	t.nameRank(rank, list)
+	return first
+}
+
+// nameRank records list as the name served for rank.
+func (t *Table) nameRank(rank uint32, list string) {
+	for uint32(len(t.lists)) <= rank {
+		t.lists = append(t.lists, "")
+	}
+	t.lists[rank] = list
+}
+
+// Remove deletes p's (rank, d) entry, if present; removing an absent
+// entry is a no-op. It reports whether the removal took p's last entry
+// of rank. A prefix whose chain empties is deleted from the slot array.
+//
+//sbcheck:hotpath
+func (t *Table) Remove(p hashx.Prefix, rank uint32, d hashx.Digest) (last bool) {
+	slot, ok := t.find(uint32(p))
+	if !ok {
+		return false
+	}
+	prev, at := int32(-1), t.heads[slot]
+	for at >= 0 && (t.entries[at].rank != rank || t.entries[at].digest != d) {
+		prev, at = at, t.entries[at].next
+	}
+	if at < 0 {
+		return false
+	}
+	next := t.entries[at].next
+	last = (prev < 0 || t.entries[prev].rank != rank) && (next < 0 || t.entries[next].rank != rank)
+	if prev >= 0 {
+		t.entries[prev].next = next
+	} else {
+		t.heads[slot] = next
+	}
+	if t.heads[slot] < 0 {
+		t.ctrl[slot] = ctrlTombstone
+		t.live--
+		t.dead++
+	}
+	t.freeEntry(at)
+	return last
 }
 
 // Cursor iterates the entries of one prefix in served (rank) order.
@@ -466,14 +365,8 @@ type Cursor struct {
 //
 //sbcheck:hotpath
 func (t *Table) Find(p hashx.Prefix) Cursor {
-	key := uint32(p)
-	if i, ok := t.cur.find(key); ok {
-		return Cursor{t: t, at: -1, next: t.cur.heads[i]}
-	}
-	if t.old.ctrl != nil {
-		if i, ok := t.old.find(key); ok {
-			return Cursor{t: t, at: -1, next: t.old.heads[i]}
-		}
+	if i, ok := t.find(uint32(p)); ok {
+		return Cursor{t: t, at: -1, next: t.heads[i]}
 	}
 	return Cursor{at: -1, next: -1}
 }
@@ -496,36 +389,26 @@ func (c *Cursor) Next() bool {
 //sbcheck:hotpath
 func (c *Cursor) Entry() (rank uint32, list string, digest hashx.Digest) {
 	e := &c.t.entries[c.at]
-	return e.rank, c.t.lists[e.listID], e.digest
+	return e.rank, c.t.lists[e.rank], e.digest
 }
 
 // Contains reports whether p has at least one entry.
 //
 //sbcheck:hotpath
 func (t *Table) Contains(p hashx.Prefix) bool {
-	key := uint32(p)
-	if _, ok := t.cur.find(key); ok {
-		return true
-	}
-	if t.old.ctrl != nil {
-		if _, ok := t.old.find(key); ok {
-			return true
-		}
-	}
-	return false
+	_, ok := t.find(uint32(p))
+	return ok
 }
 
 // AppendPrefixes appends to dst, unsorted, every prefix holding an
-// entry of the given rank. It scans both generations' slot arrays, so
-// it costs O(capacity): an audit read, not a lookup.
+// entry of the given rank. It scans the whole slot array, so it costs
+// O(capacity): an audit read, not a lookup.
 func (t *Table) AppendPrefixes(dst []hashx.Prefix, rank uint32) []hashx.Prefix {
-	for _, g := range [...]*gen{&t.cur, &t.old} {
-		for i, c := range g.ctrl {
-			for at := g.heads[i]; c&0x80 != 0 && at >= 0; at = t.entries[at].next {
-				if t.entries[at].rank == rank {
-					dst = append(dst, hashx.Prefix(g.keys[i]))
-					break
-				}
+	for i, c := range t.ctrl {
+		for at := t.heads[i]; c&0x80 != 0 && at >= 0; at = t.entries[at].next {
+			if t.entries[at].rank == rank {
+				dst = append(dst, hashx.Prefix(t.keys[i]))
+				break
 			}
 		}
 	}
@@ -533,46 +416,11 @@ func (t *Table) AppendPrefixes(dst []hashx.Prefix, rank uint32) []hashx.Prefix {
 }
 
 // Len returns the number of live prefixes (slots with a non-empty
-// chain) across both generations.
-func (t *Table) Len() int { return t.n }
+// chain).
+func (t *Table) Len() int { return t.live }
 
-// Entries returns the number of live (rank, list, digest) entries.
-func (t *Table) Entries() int { return len(t.entries) - t.freeLen }
-
-// Stats is a point-in-time diagnostic snapshot of the table's shape.
-type Stats struct {
-	// Prefixes is the live prefix count (== Len).
-	Prefixes int
-	// Entries is the live entry count across all chains.
-	Entries int
-	// Capacity is the slot count of the insert generation.
-	Capacity int
-	// Tombstones is the tombstoned slot count of the insert generation.
-	Tombstones int
-	// Growing reports whether an incremental migration is in flight.
-	Growing bool
-	// Grows counts growth triggers since creation.
-	Grows int
-	// FreeEntries is the recycled side-array slot count.
-	FreeEntries int
-}
-
-// Stats returns the table's current shape for diagnostics.
-func (t *Table) Stats() Stats {
-	return Stats{
-		Prefixes:    t.n,
-		Entries:     t.Entries(),
-		Capacity:    len(t.cur.ctrl),
-		Tombstones:  t.cur.dead,
-		Growing:     t.old.ctrl != nil,
-		Grows:       t.grows,
-		FreeEntries: t.freeLen,
-	}
-}
-
-// SizeBytes returns the approximate memory footprint: 9 bytes per slot
-// per generation, 40 bytes per side-array entry.
+// SizeBytes returns the memory footprint of the table's arrays: 9
+// bytes per slot, entryBytes per side-array entry allocated.
 func (t *Table) SizeBytes() int {
-	slots := len(t.cur.ctrl) + len(t.old.ctrl)
-	return slots*(1+4+4) + cap(t.entries)*40
+	return len(t.ctrl)*(1+4+4) + cap(t.entries)*entryBytes
 }

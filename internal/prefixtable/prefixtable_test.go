@@ -98,8 +98,8 @@ func TestRemoveSemantics(t *testing.T) {
 	if tab.Contains(p) || tab.Len() != 0 {
 		t.Fatal("prefix survived emptying its chain")
 	}
-	if tab.Entries() != 0 {
-		t.Fatalf("Entries = %d after removing everything", tab.Entries())
+	if n := liveEntries(tab); n != 0 {
+		t.Fatalf("%d live entries after removing everything", n)
 	}
 	// Freed entries are recycled, not leaked.
 	before := cap(tab.entries)
@@ -113,8 +113,8 @@ func TestRemoveSemantics(t *testing.T) {
 }
 
 // TestGrowthAndMigration drives a single table through several
-// incremental growths and verifies every prefix stays findable with
-// its full chain at every step, including mid-migration.
+// growths and verifies every prefix stays findable with its full chain
+// at every step, each rehash moving every slot to its new array.
 func TestGrowthAndMigration(t *testing.T) {
 	var tab Table // start at minimum capacity to force many growths
 	const n = 10000
@@ -122,18 +122,17 @@ func TestGrowthAndMigration(t *testing.T) {
 		p := hashx.Prefix(uint32(i) * 2654435761) // well-spread keys
 		tab.Add(p, 0, "l", testDigest(p, 0))
 		if i%97 == 0 {
-			// Spot-check an older prefix mid-migration.
+			// Spot-check an older prefix.
 			q := hashx.Prefix(uint32(i/2) * 2654435761)
 			if !tab.Contains(q) {
-				t.Fatalf("prefix %v lost after %d adds (growing=%v)", q, i+1, tab.Stats().Growing)
+				t.Fatalf("prefix %v lost after %d adds (capacity %d)", q, i+1, len(tab.ctrl))
 			}
 		}
 	}
 	if tab.Len() != n {
 		t.Fatalf("Len = %d, want %d", tab.Len(), n)
 	}
-	st := tab.Stats()
-	if st.Grows == 0 {
+	if len(tab.ctrl) == minCap {
 		t.Fatal("expected at least one growth from minimum capacity")
 	}
 	for i := 0; i < n; i++ {
@@ -170,18 +169,19 @@ func TestRemoveHeavyRehash(t *testing.T) {
 		p := hashx.Prefix(n + i)
 		tab.Add(p, 0, "l", testDigest(p, 0))
 	}
-	st := tab.Stats()
-	if st.Prefixes != n {
-		t.Fatalf("Prefixes = %d, want %d", st.Prefixes, n)
+	if tab.Len() != n {
+		t.Fatalf("Len = %d, want %d", tab.Len(), n)
 	}
-	if st.Capacity > 4*n*maxLoadDen/maxLoadNum {
-		t.Fatalf("capacity %d ballooned after remove-heavy churn (n=%d)", st.Capacity, n)
+	if len(tab.ctrl) > 4*n*maxLoadDen/maxLoadNum {
+		t.Fatalf("capacity %d ballooned after remove-heavy churn (n=%d)", len(tab.ctrl), n)
 	}
 }
 
 // TestModelEquivalence runs a seeded randomized add/remove/lookup
 // sequence against a reference map model, with a deliberately small
-// prefix universe so chains, collisions and remove-of-absent all occur.
+// prefix universe so chains, collisions, duplicate adds and
+// remove-of-absent all occur. Add's first-of-rank and Remove's
+// last-of-rank answers must match the model's.
 func TestModelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var tab Table
@@ -198,30 +198,45 @@ func TestModelEquivalence(t *testing.T) {
 	}
 	lists := []string{"goog-malware-shavar", "goog-phish-shavar", "ydx-porno-shavar"}
 
-	modelAdd := func(p hashx.Prefix, e tuple) {
+	// rankCount is the number of p's model entries of rank.
+	rankCount := func(p hashx.Prefix, rank uint32) int {
+		n := 0
+		for _, e := range model[p] {
+			if e.rank == rank {
+				n++
+			}
+		}
+		return n
+	}
+	// modelAdd skips a (rank, digest) p holds already and reports
+	// whether p gained its first entry of the rank.
+	modelAdd := func(p hashx.Prefix, e tuple) bool {
 		entries := model[p]
+		if slices.ContainsFunc(entries, func(x tuple) bool { return x.rank == e.rank && x.digest == e.digest }) {
+			return false
+		}
+		first := rankCount(p, e.rank) == 0
 		i := len(entries)
 		for i > 0 && entries[i-1].rank > e.rank {
 			i--
 		}
-		entries = append(entries, tuple{})
-		copy(entries[i+1:], entries[i:])
-		entries[i] = e
-		model[p] = entries
+		model[p] = slices.Insert(entries, i, e)
+		return first
 	}
-	modelRemove := func(p hashx.Prefix, rank uint32, d hashx.Digest) {
+	// modelRemove reports whether it took p's last entry of the rank.
+	modelRemove := func(p hashx.Prefix, rank uint32, d hashx.Digest) bool {
 		entries := model[p]
-		for i, e := range entries {
-			if e.rank == rank && e.digest == d {
-				entries = append(entries[:i], entries[i+1:]...)
-				break
-			}
+		i := slices.IndexFunc(entries, func(x tuple) bool { return x.rank == rank && x.digest == d })
+		if i < 0 {
+			return false
 		}
+		entries = slices.Delete(entries, i, i+1)
 		if len(entries) == 0 {
 			delete(model, p)
 		} else {
 			model[p] = entries
 		}
+		return rankCount(p, rank) == 0
 	}
 
 	for step := 0; step < 20000; step++ {
@@ -229,11 +244,15 @@ func TestModelEquivalence(t *testing.T) {
 		rank := uint32(rng.Intn(3))
 		d := testDigest(p, byte(rng.Intn(6)))
 		if rng.Intn(3) > 0 {
-			tab.Add(p, rank, lists[rank], d)
-			modelAdd(p, tuple{rank, lists[rank], d})
+			got := tab.Add(p, rank, lists[rank], d)
+			if want := modelAdd(p, tuple{rank, lists[rank], d}); got != want {
+				t.Fatalf("step %d: Add(%v, %d) first = %v, model %v", step, p, rank, got, want)
+			}
 		} else {
-			tab.Remove(p, rank, d)
-			modelRemove(p, rank, d)
+			got := tab.Remove(p, rank, d)
+			if want := modelRemove(p, rank, d); got != want {
+				t.Fatalf("step %d: Remove(%v, %d) last = %v, model %v", step, p, rank, got, want)
+			}
 		}
 		q := prefixes[rng.Intn(len(prefixes))]
 		got := collect(&tab, q)
@@ -252,9 +271,18 @@ func TestModelEquivalence(t *testing.T) {
 			t.Fatalf("final prefix %v:\n got %v\nwant %v", p, got, want)
 		}
 	}
-	if tab.Entries() != live {
-		t.Fatalf("Entries = %d, model has %d", tab.Entries(), live)
+	if n := liveEntries(&tab); n != live {
+		t.Fatalf("%d live entries, model has %d", n, live)
 	}
+}
+
+// liveEntries counts the side-array entries not on the free list.
+func liveEntries(t *Table) int {
+	n := len(t.entries)
+	for at := t.free - 1; at >= 0; at = t.entries[at].next {
+		n--
+	}
+	return n
 }
 
 // TestNewPresized verifies a hint-sized table absorbs its hint without
@@ -262,12 +290,13 @@ func TestModelEquivalence(t *testing.T) {
 func TestNewPresized(t *testing.T) {
 	const n = 100000
 	tab := New(n)
+	capacity := len(tab.ctrl)
 	for i := 0; i < n; i++ {
 		p := hashx.Prefix(uint32(i) * 2654435761)
 		tab.Add(p, 0, "l", testDigest(p, 0))
 	}
-	if st := tab.Stats(); st.Grows != 0 {
-		t.Fatalf("pre-sized table grew %d times", st.Grows)
+	if len(tab.ctrl) != capacity {
+		t.Fatalf("pre-sized table grew from %d to %d slots", capacity, len(tab.ctrl))
 	}
 }
 
@@ -316,12 +345,12 @@ func TestSizeBytesAndStats(t *testing.T) {
 		p := hashx.Prefix(uint32(i) * 2654435761)
 		tab.Add(p, 0, "l", testDigest(p, 0))
 	}
-	if tab.SizeBytes() <= 0 {
-		t.Fatal("SizeBytes must be positive on a populated table")
+	// An entry is a 32-byte digest, a rank and a link: 40 bytes.
+	if got, want := tab.SizeBytes(), 9*len(tab.ctrl)+40*cap(tab.entries); got != want {
+		t.Fatalf("SizeBytes = %d, want 9·%d slots + 40·%d entries = %d", got, len(tab.ctrl), cap(tab.entries), want)
 	}
-	st := tab.Stats()
-	if st.Prefixes != 1000 || st.Entries != 1000 || st.Capacity == 0 {
-		t.Fatalf("stats: %+v", st)
+	if tab.Len() != 1000 || liveEntries(tab) != 1000 || len(tab.ctrl) == 0 {
+		t.Fatalf("Len = %d, live entries = %d, capacity = %d", tab.Len(), liveEntries(tab), len(tab.ctrl))
 	}
 	// Sorted decode sanity: Contains agrees with a reference set.
 	ref := map[hashx.Prefix]bool{}
@@ -342,20 +371,21 @@ func TestSizeBytesAndStats(t *testing.T) {
 
 // TestAppendPrefixes holds AppendPrefixes to a per-rank model while the
 // table grows: a prefix is listed for a rank exactly when it has an
-// entry of that rank, whichever generation holds its slot, and a
-// removal of its last such entry takes it out.
+// entry of that rank, and a removal of its last such entry takes it
+// out.
 func TestAppendPrefixes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var tab Table
 	model := [3]map[hashx.Prefix][]hashx.Digest{{}, {}, {}}
-	sawGrowing := false
 	for step := 0; step < 6000; step++ {
 		p := hashx.Prefix(uint32(rng.Intn(2000)) * 2654435761)
 		rank := uint32(rng.Intn(3))
 		d := testDigest(p, byte(rng.Intn(2)))
 		if rng.Intn(4) > 0 {
 			tab.Add(p, rank, "l", d)
-			model[rank][p] = append(model[rank][p], d)
+			if !slices.Contains(model[rank][p], d) {
+				model[rank][p] = append(model[rank][p], d)
+			}
 		} else {
 			tab.Remove(p, rank, d)
 			if i := slices.Index(model[rank][p], d); i >= 0 {
@@ -365,11 +395,9 @@ func TestAppendPrefixes(t *testing.T) {
 				delete(model[rank], p)
 			}
 		}
-		growing := tab.Stats().Growing
-		if step%100 != 99 && !growing {
+		if step%100 != 99 {
 			continue
 		}
-		sawGrowing = sawGrowing || growing
 		for rank, m := range model {
 			got := tab.AppendPrefixes(nil, uint32(rank))
 			slices.Sort(got)
@@ -383,7 +411,7 @@ func TestAppendPrefixes(t *testing.T) {
 			}
 		}
 	}
-	if !sawGrowing {
-		t.Fatal("no check ran during an incremental growth")
+	if len(tab.ctrl) == minCap {
+		t.Fatal("the table never grew")
 	}
 }

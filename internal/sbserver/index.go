@@ -1,7 +1,6 @@
 package sbserver
 
 import (
-	"slices"
 	"sync"
 
 	"sbprivacy/internal/hashx"
@@ -37,9 +36,9 @@ type flatStripe struct {
 // prefix table of internal/prefixtable, lock-striped by prefix low
 // bits. It is keyed by prefix across all lists, so a lookup touches
 // exactly one stripe per requested prefix and lookups on different
-// prefixes never contend. Growth is incremental inside each stripe, so
-// an add/remove burst never holds a stripe's write lock for a full
-// rehash.
+// prefixes never contend. A growth rehashes one stripe in one pass
+// under its write lock; list mutations run before the server takes
+// traffic, so no lookup waits behind one.
 type flatIndex struct {
 	stripes [numShards]flatStripe
 }
@@ -53,44 +52,27 @@ func (x *flatIndex) stripe(p hashx.Prefix) *flatStripe {
 	return &x.stripes[uint32(p)&(numShards-1)]
 }
 
-// add inserts an entry for p, keeping the per-prefix entries grouped
-// by ascending list rank (insertion order within a list is preserved).
+// add inserts e for p unless p holds its (rank, digest) already, keeping
+// the per-prefix entries grouped by ascending list rank (insertion
+// order within a list is preserved). It reports whether p thereby
+// gained its first entry of e's rank.
 //
 //sbcheck:hotpath
-func (x *flatIndex) add(p hashx.Prefix, e indexEntry) {
+func (x *flatIndex) add(p hashx.Prefix, e indexEntry) (first bool) {
 	st := x.stripe(p)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.t.Add(p, e.rank, e.list, e.digest)
+	return st.t.Add(p, e.rank, e.list, e.digest)
 }
 
-// addDigest adds e unless p holds its (rank, digest) already, and
-// reports whether p thereby gained its first entry of e's rank.
-func (x *flatIndex) addDigest(p hashx.Prefix, e indexEntry) (first bool) {
+// remove deletes the entry for (rank, digest) under p, if present;
+// removing an absent entry is a no-op. It reports whether the removal
+// took p's last entry of that rank.
+func (x *flatIndex) remove(p hashx.Prefix, rank uint32, d hashx.Digest) (last bool) {
 	st := x.stripe(p)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	ds := rankDigests(&st.t, p, e.rank)
-	if slices.Contains(ds, e.digest) {
-		return false
-	}
-	st.t.Add(p, e.rank, e.list, e.digest)
-	return len(ds) == 0
-}
-
-// remove deletes the first entry for (rank, digest) under p, if
-// present; removing an absent entry is a no-op. It reports whether the
-// removal took p's last entry of that rank.
-func (x *flatIndex) remove(p hashx.Prefix, rank uint32, d hashx.Digest) (emptied bool) {
-	st := x.stripe(p)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ds := rankDigests(&st.t, p, rank)
-	if !slices.Contains(ds, d) {
-		return false
-	}
-	st.t.Remove(p, rank, d)
-	return len(ds) == 1
+	return st.t.Remove(p, rank, d)
 }
 
 // digests returns p's digests of the given rank in insertion order, nil
@@ -99,13 +81,8 @@ func (x *flatIndex) digests(p hashx.Prefix, rank uint32) []hashx.Digest {
 	st := x.stripe(p)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return rankDigests(&st.t, p, rank)
-}
-
-// rankDigests is digests for a caller holding p's stripe lock.
-func rankDigests(t *prefixtable.Table, p hashx.Prefix, rank uint32) []hashx.Digest {
 	var out []hashx.Digest
-	for c := t.Find(p); c.Next(); {
+	for c := st.t.Find(p); c.Next(); {
 		if r, _, d := c.Entry(); r == rank {
 			out = append(out, d)
 		}

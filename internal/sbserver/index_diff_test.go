@@ -12,10 +12,12 @@ import (
 
 // The differential fuzz harness holds the flat serving index to a
 // plain map model under arbitrary interleavings of add, remove and
-// lookup, including the cases the flat design's incremental growth
-// makes delicate: rank collisions on one prefix, duplicate (rank,
-// digest) entries, remove-of-absent, and bulk loads that force a
-// stripe through one or more generation migrations mid-sequence.
+// lookup, driving the same add and remove the server's list mutations
+// call: rank collisions on one prefix, re-adds of a (rank, digest) the
+// prefix holds already (skipped), remove-of-absent, and bulk loads
+// that force a stripe through one or more rehashes mid-sequence. Each
+// add's first-of-rank answer and each remove's last-of-rank answer
+// must match the model's.
 //
 // Every fuzz input decodes into a valid op sequence (no rejected
 // bytes), so coverage-guided fuzzing explores index states rather than
@@ -29,30 +31,42 @@ import (
 // rank — the order FullHashes promises.
 type mapModel map[hashx.Prefix][]indexEntry
 
-// add inserts e after every entry of p whose rank is not above its own.
-func (m mapModel) add(p hashx.Prefix, e indexEntry) {
+// hasRank reports whether p holds an entry of rank.
+func (m mapModel) hasRank(p hashx.Prefix, rank uint32) bool {
+	return slices.ContainsFunc(m[p], func(e indexEntry) bool { return e.rank == rank })
+}
+
+// add inserts e after every entry of p whose rank is not above its own,
+// unless p holds e's (rank, digest) already, and reports whether p
+// gained its first entry of e's rank.
+func (m mapModel) add(p hashx.Prefix, e indexEntry) (first bool) {
 	entries := m[p]
+	if slices.ContainsFunc(entries, func(x indexEntry) bool { return x.rank == e.rank && x.digest == e.digest }) {
+		return false
+	}
+	first = !m.hasRank(p, e.rank)
 	i := len(entries)
 	for i > 0 && entries[i-1].rank > e.rank {
 		i--
 	}
 	m[p] = slices.Insert(entries, i, e)
+	return first
 }
 
-// remove deletes the first entry for (rank, digest) under p, if any.
-func (m mapModel) remove(p hashx.Prefix, rank uint32, d hashx.Digest) {
+// remove deletes the entry for (rank, digest) under p, if any, and
+// reports whether it took p's last entry of rank.
+func (m mapModel) remove(p hashx.Prefix, rank uint32, d hashx.Digest) (last bool) {
 	entries := m[p]
-	for i, e := range entries {
-		if e.rank == rank && e.digest == d {
-			entries = slices.Delete(entries, i, i+1)
-			break
-		}
+	i := slices.IndexFunc(entries, func(e indexEntry) bool { return e.rank == rank && e.digest == d })
+	if i < 0 {
+		return false
 	}
-	if len(entries) == 0 {
+	if entries = slices.Delete(entries, i, i+1); len(entries) == 0 {
 		delete(m, p)
 	} else {
 		m[p] = entries
 	}
+	return !m.hasRank(p, rank)
 }
 
 // lookup returns p's entries in served order.
@@ -107,33 +121,37 @@ func diffDigest(p hashx.Prefix, tag byte) hashx.Digest {
 var diffLists = [4]string{"list-0", "list-1", "list-2", "list-3"}
 
 // applyDiffOp decodes one op from three bytes and applies it to the
-// model and the flat index, returning the prefix it touched.
-func applyDiffOp(a mapModel, b *flatIndex, op [diffOpLen]byte) hashx.Prefix {
+// model and the flat index, failing if their add or remove answers
+// differ, and returns the prefix it touched.
+func applyDiffOp(t *testing.T, a mapModel, b *flatIndex, op [diffOpLen]byte) hashx.Prefix {
+	t.Helper()
 	p := diffPrefix(op[1])
 	rank := uint32(op[2] & 3)
 	tag := (op[2] >> 2) & 3
-	list := diffLists[rank]
-	d := diffDigest(p, tag)
+	add := func(q hashx.Prefix) {
+		e := indexEntry{rank: rank, list: diffLists[rank], digest: diffDigest(q, tag)}
+		if got, want := b.add(q, e), a.add(q, e); got != want {
+			t.Fatalf("add(%08x, rank %d): flat first = %v, map %v", uint32(q), rank, got, want)
+		}
+	}
+	remove := func(q hashx.Prefix) {
+		d := diffDigest(q, tag)
+		if got, want := b.remove(q, rank, d), a.remove(q, rank, d); got != want {
+			t.Fatalf("remove(%08x, rank %d): flat last = %v, map %v", uint32(q), rank, got, want)
+		}
+	}
 	switch op[0] & 3 {
-	case 0: // add one entry
-		a.add(p, indexEntry{rank: rank, list: list, digest: d})
-		b.add(p, indexEntry{rank: rank, list: list, digest: d})
+	case 0: // add one entry (possibly present)
+		add(p)
 	case 1: // remove one entry (possibly absent)
-		a.remove(p, rank, d)
-		b.remove(p, rank, d)
+		remove(p)
 	case 2: // bulk add: 24 same-stripe prefixes, forces growth
 		for k := uint32(0); k < 24; k++ {
-			q := p + hashx.Prefix(k*numShards)
-			qd := diffDigest(q, tag)
-			a.add(q, indexEntry{rank: rank, list: list, digest: qd})
-			b.add(q, indexEntry{rank: rank, list: list, digest: qd})
+			add(p + hashx.Prefix(k*numShards))
 		}
 	default: // bulk remove of the same span (some absent)
 		for k := uint32(0); k < 24; k++ {
-			q := p + hashx.Prefix(k*numShards)
-			qd := diffDigest(q, tag)
-			a.remove(q, rank, qd)
-			b.remove(q, rank, qd)
+			remove(p + hashx.Prefix(k*numShards))
 		}
 	}
 	return p
@@ -177,7 +195,7 @@ func runIndexDifferential(t *testing.T, model mapModel, flat *flatIndex, data []
 	var op [diffOpLen]byte
 	for n := 0; n+diffOpLen <= len(data); n += diffOpLen {
 		copy(op[:], data[n:n+diffOpLen])
-		p := applyDiffOp(model, flat, op)
+		p := applyDiffOp(t, model, flat, op)
 		diffCompare(t, model, flat, p, fmt.Sprintf("after op %d", n/diffOpLen))
 		if (n/diffOpLen)%16 == 15 {
 			diffSweep(t, model, flat, fmt.Sprintf("sweep at op %d", n/diffOpLen))
@@ -198,8 +216,8 @@ func FuzzIndexDifferential(f *testing.F) {
 	f.Add([]byte{0, 0xc0, 0, 0, 0xc0, 0, 1, 0xc0, 0, 1, 0xc0, 0})
 	f.Add([]byte{2, 0x40, 0, 2, 0x41, 1, 3, 0x40, 0, 2, 0x40, 2})
 	// Two bulk adds fill one stripe to its load ceiling (48 prefixes)
-	// and a 49th starts a growth, so the final sweep reads a stripe whose
-	// prefixes still sit in the draining generation.
+	// and a 49th rehashes it into a doubled slot array, so the final
+	// sweep reads every prefix from the rehashed stripe.
 	f.Add([]byte{2, 0x40, 0, 2, 0x58, 0, 0, 0x70, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runIndexDifferential(t, mapModel{}, newFlatIndex(), data)

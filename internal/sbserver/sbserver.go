@@ -255,7 +255,7 @@ func (s *Server) AddDigests(listName string, digests []hashx.Digest) error {
 	var newPrefixes []hashx.Prefix
 	for _, d := range digests {
 		p := d.Prefix()
-		if !s.idx.addDigest(p, indexEntry{rank: l.rank, list: l.name, digest: d}) {
+		if !s.idx.add(p, indexEntry{rank: l.rank, list: l.name, digest: d}) {
 			continue
 		}
 		if _, orphan := l.orphans[p]; !orphan {

@@ -319,14 +319,15 @@ func TestConcurrentServerAccess(t *testing.T) {
 
 // TestListHeapAtTable2Size bounds the server heap that one list of the
 // paper's Table 2 size (630 428 prefixes) costs: 630 428 seeded random
-// digests must take at most 48 MB after a GC. The serving index is the
-// only record of a list's digests; a second per-list copy (a prefix →
-// digests map) would more than double the figure. Not parallel, so no
-// other test allocates while it measures.
+// digests must take at most 40 MB after a GC. The serving index is the
+// only record of a list's digests, one 40-byte entry per digest plus
+// its slots; a second per-list copy (a prefix → digests map) would more
+// than double the figure. Not parallel, so no other test allocates
+// while it measures.
 func TestListHeapAtTable2Size(t *testing.T) {
 	const (
 		n     = 630428
-		bound = 48 << 20
+		bound = 40 << 20
 	)
 	rng := rand.New(rand.NewSource(2016))
 	digests := make([]hashx.Digest, n)
