@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race order-check bench docs-check examples-check ablate-smoke live-smoke pipelinebench-smoke storebench-smoke httpbench-smoke
+.PHONY: check build vet lint test race order-check fuzz-smoke bench docs-check examples-check ablate-smoke live-smoke pipelinebench-smoke storebench-smoke httpbench-smoke
 
 check: build vet race
 
@@ -129,6 +129,15 @@ race:
 # this.
 order-check:
 	$(GO) test -race -cpu 1,4 -count 2 -run 'RecordOrder|ByteIdentical|ProbesAndClock|ReplayFeedsTracker' ./internal/sbserver/ ./internal/workload/ .
+
+# fuzz-smoke runs each fuzz target for 10 s with two workers: the flat
+# serving index against its map model (FuzzIndexDifferential) and the
+# probe-frame decoder against hostile bytes (FuzzProbeFrame). Plain
+# "go test" only replays their committed corpora; this explores past
+# them. CI's race-short job calls this.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexDifferential$$' -fuzztime 10s -parallel 2 ./internal/sbserver
+	$(GO) test -run '^$$' -fuzz '^FuzzProbeFrame$$' -fuzztime 10s -parallel 2 ./internal/wire
 
 bench:
 	$(GO) test -run xxx -bench 'ServerConcurrent|AblationServerSeedDesign' -cpu=1,8 -benchmem .
