@@ -170,6 +170,8 @@ func (c *Client) Stats() Stats {
 // hours), which force also overrides. A successful update discards the
 // full-hash cache ("storing the full digests prevents the network from
 // slowing down... until an update discards them", Section 2.2.1).
+// A chunk at or below its list's last applied chunk is skipped, so
+// overlapping Updates cannot undo each other.
 func (c *Client) Update(ctx context.Context, force bool) error {
 	// Clock reads happen before taking the lock: c.now is a caller
 	// callback (lockscope), and it is immutable after New.
@@ -211,15 +213,19 @@ func (c *Client) Update(ctx context.Context, force bool) error {
 		if !ok {
 			continue // server pushed a list we don't sync
 		}
+		// An overlapping Update may have applied this chunk, and newer
+		// ones, since this response was requested: re-applying it
+		// would undo them.
+		if chunk.Num <= ls.lastChunk {
+			continue
+		}
 		switch chunk.Type {
 		case wire.ChunkAdd:
 			ls.store.Apply(chunk.Prefixes, nil)
 		case wire.ChunkSub:
 			ls.store.Apply(nil, chunk.Prefixes)
 		}
-		if chunk.Num > ls.lastChunk {
-			ls.lastChunk = chunk.Num
-		}
+		ls.lastChunk = chunk.Num
 	}
 	c.cache = make(map[hashx.Prefix]cacheEntry)
 	c.nextUpdateAt = now.Add(time.Duration(resp.MinWaitSeconds) * time.Second)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -236,6 +237,72 @@ func TestUpdateAppliesSubChunks(t *testing.T) {
 	}
 	if !v.Safe || len(v.SentPrefixes) != 0 {
 		t.Errorf("delisted URL verdict = %+v", v)
+	}
+}
+
+// heldTransport holds the first Download's response until release is
+// closed, after telling downloaded that the server has answered.
+type heldTransport struct {
+	Transport
+	downloaded, release chan struct{}
+	calls               atomic.Int32
+}
+
+func (h *heldTransport) Download(ctx context.Context, req *wire.DownloadRequest) (*wire.DownloadResponse, error) {
+	resp, err := h.Transport.Download(ctx, req)
+	if h.calls.Add(1) == 1 {
+		close(h.downloaded)
+		<-h.release
+	}
+	return resp, err
+}
+
+// TestStaleDownloadDoesNotOverwriteNewer overlaps two Updates: A
+// downloads chunk 1 (add p), the server appends chunk 2 (sub p), and B
+// downloads and applies both before A applies its response. A's chunk
+// 1 is then stale and must not bring p back: a client that kept it
+// would believe itself at chunk 2 and never fetch the sub again.
+func TestStaleDownloadDoesNotOverwriteNewer(t *testing.T) {
+	t.Parallel()
+	srv := sbserver.New()
+	if err := srv.CreateList(testList, "malware"); err != nil {
+		t.Fatalf("CreateList: %v", err)
+	}
+	if err := srv.AddExpressions(testList, []string{"evil.example/"}); err != nil {
+		t.Fatalf("AddExpressions: %v", err)
+	}
+	held := &heldTransport{
+		Transport:  LocalTransport{Server: srv},
+		downloaded: make(chan struct{}),
+		release:    make(chan struct{}),
+	}
+	c := New(held, []string{testList})
+	ctx := context.Background()
+
+	errA := make(chan error, 1)
+	go func() { errA <- c.Update(ctx, true) }()
+	<-held.downloaded
+	if err := srv.RemoveExpressions(testList, []string{"evil.example/"}); err != nil {
+		t.Fatalf("RemoveExpressions: %v", err)
+	}
+	if err := c.Update(ctx, true); err != nil {
+		t.Fatalf("Update B: %v", err)
+	}
+	close(held.release)
+	if err := <-errA; err != nil {
+		t.Fatalf("Update A: %v", err)
+	}
+	held1 := c.LocalPrefixCount(testList)
+	if err := c.Update(ctx, true); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	want, err := srv.PrefixesOf(testList)
+	if err != nil {
+		t.Fatalf("PrefixesOf: %v", err)
+	}
+	if got := c.LocalPrefixCount(testList); held1 != len(want) || got != len(want) {
+		t.Errorf("client holds %d prefixes (after one more update %d); server's live set has %d",
+			held1, got, len(want))
 	}
 }
 
