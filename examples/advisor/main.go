@@ -39,7 +39,7 @@ func main() {
 		prefixes[i] = hashx.SumPrefix(e)
 	}
 	adv := &advisor.Advisor{
-		Stores: []advisor.NamedStore{{List: list, Store: prefixdb.NewSortedSet(prefixes)}},
+		Stores: []advisor.NamedStore{{List: list, Store: prefixdb.NewDeltaStore(prefixes)}},
 		Index: core.NewIndex([]string{
 			"petsymposium.org/",
 			"petsymposium.org/2016/cfp.php",

@@ -139,8 +139,14 @@ func TestIntegrationFullAttackOverHTTP(t *testing.T) {
 	}
 }
 
+// wrappedStore embeds a client prefix store, as instrumenting wrappers
+// do.
+type wrappedStore struct{ prefixdb.Updatable }
+
 // TestIntegrationStoreKindsAgreeOverHTTP runs the same browsing session
-// with each local store implementation and checks identical verdicts.
+// with the client's store as built and wrapped by a store factory, the
+// way an instrumenting harness injects it, and checks identical
+// verdicts.
 func TestIntegrationStoreKindsAgreeOverHTTP(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
@@ -168,8 +174,8 @@ func TestIntegrationStoreKindsAgreeOverHTTP(t *testing.T) {
 		name    string
 		factory sbclient.StoreFactory
 	}{
-		{"sorted", func() prefixdb.Updatable { return prefixdb.NewSortedSet(nil) }},
 		{"delta", func() prefixdb.Updatable { return prefixdb.NewDeltaStore(nil) }},
+		{"wrapped delta", func() prefixdb.Updatable { return wrappedStore{prefixdb.NewDeltaStore(nil)} }},
 	}
 	verdicts := make([][]*sbclient.Verdict, len(kinds))
 	for k, kind := range kinds {

@@ -92,7 +92,7 @@ type Report struct {
 // NamedStore pairs a list name with its local prefix store.
 type NamedStore struct {
 	List  string
-	Store prefixdb.Store
+	Store prefixdb.Updatable
 }
 
 // Advisor assesses lookups before they happen.

@@ -9,12 +9,12 @@ import (
 	"sbprivacy/internal/prefixdb"
 )
 
-func storeOf(exprs ...string) *prefixdb.SortedSet {
+func storeOf(exprs ...string) *prefixdb.DeltaStore {
 	prefixes := make([]hashx.Prefix, len(exprs))
 	for i, e := range exprs {
 		prefixes[i] = hashx.SumPrefix(e)
 	}
-	return prefixdb.NewSortedSet(prefixes)
+	return prefixdb.NewDeltaStore(prefixes)
 }
 
 func TestAdviseNoHit(t *testing.T) {

@@ -92,13 +92,13 @@ func sortedCopy(prefixes []hashx.Prefix) []hashx.Prefix {
 	return sorted
 }
 
-// MergeSorted returns (base ∪ add) \ remove, sorted and without
+// mergeSorted returns (base ∪ add) \ remove, sorted and without
 // duplicates: the add/sub-chunk update of a prefix set that is kept
 // sorted. base must be sorted and unique; add and remove may be in any
 // order and repeat, and a prefix in both is removed. Only the two
 // updates are sorted (copies; the arguments are left alone) — one
 // linear pass then merges them into base.
-func MergeSorted(base, add, remove []hashx.Prefix) []hashx.Prefix {
+func mergeSorted(base, add, remove []hashx.Prefix) []hashx.Prefix {
 	add, remove = sortedCopy(add), sortedCopy(remove)
 	merged := make([]hashx.Prefix, 0, len(base)+len(add))
 	for len(base) > 0 || len(add) > 0 {
@@ -186,5 +186,5 @@ func (t *Table) Prefixes() []hashx.Prefix {
 // Merge rebuilds the table with additions applied and removals dropped,
 // the update model of the Safe Browsing protocol (add/sub chunks).
 func (t *Table) Merge(add, remove []hashx.Prefix) *Table {
-	return mustBuild(MergeSorted(t.Prefixes(), add, remove))
+	return mustBuild(mergeSorted(t.Prefixes(), add, remove))
 }

@@ -17,57 +17,31 @@ func randomPrefixes(n int, seed int64) []hashx.Prefix {
 	return out
 }
 
-// TestStoresAgree: all exact stores answer membership identically; the
-// Bloom store never reports a false negative.
+// TestStoresAgree: the delta-coded store answers membership exactly as
+// the set of prefixes it was built from.
 func TestStoresAgree(t *testing.T) {
 	t.Parallel()
 	prefixes := randomPrefixes(20000, 11)
-	sorted := NewSortedSet(prefixes)
 	delta := NewDeltaStore(prefixes)
-	bloomSt, err := NewBloomStore(prefixes, 0.001)
-	if err != nil {
-		t.Fatalf("NewBloomStore: %v", err)
+	ref := make(map[hashx.Prefix]struct{}, len(prefixes))
+	for _, p := range prefixes {
+		ref[p] = struct{}{}
 	}
 
-	if sorted.Len() != delta.Len() {
-		t.Fatalf("Len mismatch: sorted %d, delta %d", sorted.Len(), delta.Len())
+	if delta.Len() != len(ref) {
+		t.Fatalf("Len = %d, want %d", delta.Len(), len(ref))
 	}
 	for _, p := range prefixes {
-		if !sorted.Contains(p) || !delta.Contains(p) || !bloomSt.Contains(p) {
-			t.Fatalf("member %v missing from a store", p)
+		if !delta.Contains(p) {
+			t.Fatalf("member %v missing", p)
 		}
 	}
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 50000; i++ {
 		p := hashx.Prefix(rng.Uint32())
-		if sorted.Contains(p) != delta.Contains(p) {
-			t.Fatalf("exact stores disagree on %v", p)
+		if _, want := ref[p]; delta.Contains(p) != want {
+			t.Fatalf("Contains(%v) = %v, want %v", p, !want, want)
 		}
-		if sorted.Contains(p) && !bloomSt.Contains(p) {
-			t.Fatalf("bloom false negative on %v", p)
-		}
-	}
-}
-
-func TestSortedSetApply(t *testing.T) {
-	t.Parallel()
-	s := NewSortedSet([]hashx.Prefix{1, 2, 3})
-	s.Apply([]hashx.Prefix{4, 5}, []hashx.Prefix{2})
-	for _, p := range []hashx.Prefix{1, 3, 4, 5} {
-		if !s.Contains(p) {
-			t.Errorf("missing %v after Apply", p)
-		}
-	}
-	if s.Contains(2) {
-		t.Error("removed prefix still present")
-	}
-	if s.Len() != 4 {
-		t.Errorf("Len = %d, want 4", s.Len())
-	}
-	// Duplicate adds collapse.
-	s.Apply([]hashx.Prefix{4, 4, 4}, nil)
-	if s.Len() != 4 {
-		t.Errorf("Len after dup add = %d, want 4", s.Len())
 	}
 }
 
@@ -84,11 +58,16 @@ func TestDeltaStoreApply(t *testing.T) {
 	if d.Len() != 2 {
 		t.Errorf("Len = %d, want 2", d.Len())
 	}
+	// Duplicate adds collapse.
+	d.Apply([]hashx.Prefix{30, 30, 30}, nil)
+	if d.Len() != 2 {
+		t.Errorf("Len after dup add = %d, want 2", d.Len())
+	}
 }
 
 func TestSnapshotIsCopy(t *testing.T) {
 	t.Parallel()
-	s := NewSortedSet([]hashx.Prefix{5, 1, 3})
+	s := NewDeltaStore([]hashx.Prefix{5, 1, 3})
 	snap := s.Snapshot()
 	want := []hashx.Prefix{1, 3, 5}
 	for i := range want {
@@ -102,62 +81,49 @@ func TestSnapshotIsCopy(t *testing.T) {
 	}
 }
 
-// TestSizeOrdering reproduces the Table 2 size relationships at 32-bit
-// prefixes: delta-coded < raw sorted array.
+// TestSizeOrdering reproduces the Table 2 size relationship at 32-bit
+// prefixes: delta-coded < raw sorted array (4 bytes per prefix).
 func TestSizeOrdering(t *testing.T) {
 	t.Parallel()
-	prefixes := randomPrefixes(100000, 13)
-	sorted := NewSortedSet(prefixes)
-	delta := NewDeltaStore(prefixes)
-	if delta.SizeBytes() >= sorted.SizeBytes() {
-		t.Errorf("delta-coded (%d) not smaller than raw (%d)",
-			delta.SizeBytes(), sorted.SizeBytes())
+	delta := NewDeltaStore(randomPrefixes(100000, 13))
+	if raw := 4 * delta.Len(); delta.SizeBytes() >= raw {
+		t.Errorf("delta-coded (%d) not smaller than raw (%d)", delta.SizeBytes(), raw)
 	}
 }
 
-// TestConcurrentAccess exercises the stores under concurrent reads and
+// TestConcurrentAccess exercises the store under concurrent reads and
 // writes with the race detector in mind.
 func TestConcurrentAccess(t *testing.T) {
 	t.Parallel()
-	prefixes := randomPrefixes(1000, 14)
-	stores := []Updatable{NewSortedSet(prefixes), NewDeltaStore(prefixes)}
-	for _, s := range stores {
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(2)
-			go func(seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed))
-				for i := 0; i < 200; i++ {
-					s.Contains(hashx.Prefix(rng.Uint32()))
-				}
-			}(int64(w))
-			go func(seed int64) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed + 50))
-				for i := 0; i < 20; i++ {
-					s.Apply([]hashx.Prefix{hashx.Prefix(rng.Uint32())}, nil)
-				}
-			}(int64(w))
-		}
-		wg.Wait()
+	s := NewDeltaStore(randomPrefixes(1000, 14))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 200; i++ {
+				s.Contains(hashx.Prefix(rng.Uint32()))
+			}
+		}(int64(w))
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed + 50))
+			for i := 0; i < 20; i++ {
+				s.Apply([]hashx.Prefix{hashx.Prefix(rng.Uint32())}, nil)
+			}
+		}(int64(w))
 	}
+	wg.Wait()
 }
 
 func TestEmptyStores(t *testing.T) {
 	t.Parallel()
-	s := NewSortedSet(nil)
 	d := NewDeltaStore(nil)
-	b, err := NewBloomStore(nil, 0.01)
-	if err != nil {
-		t.Fatalf("NewBloomStore(empty): %v", err)
+	if d.Contains(1234) {
+		t.Error("empty store claims membership")
 	}
-	for _, st := range []Store{s, d, b} {
-		if st.Contains(1234) {
-			t.Errorf("%T: empty store claims membership", st)
-		}
-		if st.Len() != 0 {
-			t.Errorf("%T: Len = %d, want 0", st, st.Len())
-		}
+	if d.Len() != 0 || len(d.Snapshot()) != 0 {
+		t.Errorf("Len = %d, Snapshot = %v, want empty", d.Len(), d.Snapshot())
 	}
 }

@@ -7,9 +7,9 @@ import (
 	"sbprivacy/internal/hashx"
 )
 
-// TestStatefulDifferential drives SortedSet and DeltaStore through long
-// random sequences of Apply operations and checks, after every step,
-// that both agree with a reference map — the strongest correctness
+// TestStatefulDifferential drives DeltaStore through long random
+// sequences of Apply operations and checks, after every step, that it
+// agrees with a reference map — the strongest correctness
 // argument for the update path that real blacklist churn exercises.
 func TestStatefulDifferential(t *testing.T) {
 	t.Parallel()
@@ -18,7 +18,6 @@ func TestStatefulDifferential(t *testing.T) {
 		t.Run(string(rune('a'+seed)), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(seed))
-			sorted := NewSortedSet(nil)
 			delta := NewDeltaStore(nil)
 			ref := make(map[hashx.Prefix]struct{})
 
@@ -34,7 +33,6 @@ func TestStatefulDifferential(t *testing.T) {
 			for step := 0; step < 60; step++ {
 				add := randomBatch(rng.Intn(30))
 				remove := randomBatch(rng.Intn(15))
-				sorted.Apply(add, remove)
 				delta.Apply(add, remove)
 
 				drop := make(map[hashx.Prefix]struct{}, len(remove))
@@ -50,17 +48,13 @@ func TestStatefulDifferential(t *testing.T) {
 					}
 				}
 
-				if sorted.Len() != len(ref) || delta.Len() != len(ref) {
-					t.Fatalf("step %d: lens %d/%d, ref %d",
-						step, sorted.Len(), delta.Len(), len(ref))
+				if delta.Len() != len(ref) {
+					t.Fatalf("step %d: len %d, ref %d", step, delta.Len(), len(ref))
 				}
 				// Probe a sample of the space.
 				for i := 0; i < 200; i++ {
 					p := hashx.Prefix(rng.Intn(space))
 					_, want := ref[p]
-					if sorted.Contains(p) != want {
-						t.Fatalf("step %d: sorted.Contains(%v) != %v", step, p, want)
-					}
 					if delta.Contains(p) != want {
 						t.Fatalf("step %d: delta.Contains(%v) != %v", step, p, want)
 					}

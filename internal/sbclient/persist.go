@@ -43,7 +43,7 @@ func (c *Client) SaveState(w io.Writer) error {
 		snaps = append(snaps, listSnapshot{
 			name:      name,
 			lastChunk: ls.lastChunk,
-			prefixes:  snapshotStore(ls.store),
+			prefixes:  ls.store.Snapshot(),
 		})
 	}
 	c.mu.Unlock()
@@ -86,21 +86,6 @@ func (c *Client) SaveState(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// snapshotStore extracts the prefixes of a store. Updatable stores built
-// by this package always support one of the snapshot paths.
-func snapshotStore(s interface{ Len() int }) []hashx.Prefix {
-	type snapshotter interface{ Snapshot() []hashx.Prefix }
-	type prefixer interface{ Prefixes() []hashx.Prefix }
-	switch st := s.(type) {
-	case snapshotter:
-		return st.Snapshot()
-	case prefixer:
-		return st.Prefixes()
-	default:
-		return nil
-	}
 }
 
 // LoadState restores list states and prefix databases saved by

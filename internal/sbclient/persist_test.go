@@ -80,6 +80,35 @@ func TestSaveLoadWithDeltaStore(t *testing.T) {
 	}
 }
 
+// wrappedStore embeds a store, as instrumenting wrappers do: it has only
+// the methods of Updatable, and gets them by promotion.
+type wrappedStore struct{ prefixdb.Updatable }
+
+// TestSaveLoadThroughWrappedStore: SaveState reads a wrapped store's
+// prefixes through the Updatable interface. Saving none next to the
+// list's chunk number would restart the client with an empty database
+// that believes itself current.
+func TestSaveLoadThroughWrappedStore(t *testing.T) {
+	t.Parallel()
+	wrapped := WithStoreFactory(func() prefixdb.Updatable {
+		return wrappedStore{prefixdb.NewDeltaStore(nil)}
+	})
+	f := newFixture(t, wrapped)
+	f.blacklist(t, "evil.example/", "bad.example/page.html")
+	var buf bytes.Buffer
+	if err := f.client.SaveState(&buf); err != nil {
+		t.Fatalf("SaveState: %v", err)
+	}
+	restarted := New(LocalTransport{Server: f.server}, []string{testList},
+		WithClock(f.clock.now), wrapped)
+	if err := restarted.LoadState(&buf); err != nil {
+		t.Fatalf("LoadState: %v", err)
+	}
+	if got := restarted.LocalPrefixCount(testList); got != 2 {
+		t.Errorf("restored count = %d, want 2", got)
+	}
+}
+
 // TestLoadStateSkipsUnknownLists: state for lists the client no longer
 // syncs is ignored without error.
 func TestLoadStateSkipsUnknownLists(t *testing.T) {

@@ -331,8 +331,8 @@ func TestUpdateDiscardsCache(t *testing.T) {
 func TestStoreFactoryOptions(t *testing.T) {
 	t.Parallel()
 	factories := map[string]StoreFactory{
-		"sorted": func() prefixdb.Updatable { return prefixdb.NewSortedSet(nil) },
-		"delta":  func() prefixdb.Updatable { return prefixdb.NewDeltaStore(nil) },
+		"delta":   func() prefixdb.Updatable { return prefixdb.NewDeltaStore(nil) },
+		"wrapped": func() prefixdb.Updatable { return wrappedStore{prefixdb.NewDeltaStore(nil)} },
 	}
 	for name, factory := range factories {
 		f := newFixture(t, WithStoreFactory(factory))

@@ -44,7 +44,6 @@ func TestClientStoresMatchPrefixesOf(t *testing.T) {
 		name     string
 		newStore func() readStore
 	}{
-		{"sorted", func() readStore { return prefixdb.NewSortedSet(nil) }},
 		{"delta", func() readStore { return prefixdb.NewDeltaStore(nil) }},
 	}
 	var overlaps atomic.Int64
