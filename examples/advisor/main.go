@@ -5,7 +5,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 
@@ -18,8 +17,6 @@ import (
 )
 
 func main() {
-	ctx := context.Background()
-
 	// The provider blacklists the PETS site pieces (a tracking plan) and
 	// one ordinary malware page.
 	server := sbserver.New()
@@ -63,8 +60,7 @@ func main() {
 	// The same browsing through the deprecated Lookup API leaks
 	// everything, malicious or not.
 	lookup := lookupapi.NewServer(server, []string{list})
-	lookupClient := &lookupapi.Client{Direct: lookup, ClientID: "same-user"}
-	_, err := lookupClient.Check(ctx, urls...)
+	_, err := lookup.Lookup("same-user", urls)
 	must(err)
 	fmt.Println("\nthe deprecated Lookup API's log after the same browsing:")
 	for _, e := range lookup.URLLog() {

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"time"
 
 	"sbprivacy/internal/lookupapi"
 	"sbprivacy/internal/sbclient"
@@ -35,10 +34,7 @@ func runLookupAPI(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Deprecated API: every URL goes to the provider in clear.
 	lookup := lookupapi.NewServer(srv, []string{list})
-	lookupClient := &lookupapi.Client{Direct: lookup, ClientID: "user"}
-	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if _, err := lookupClient.Check(ctx, browsing...); err != nil {
+	if _, err := lookup.Lookup("user", browsing); err != nil {
 		return nil, err
 	}
 

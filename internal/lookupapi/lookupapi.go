@@ -10,17 +10,13 @@
 // not just prefixes of local hits) is the worst case that the paper's
 // privacy metrics are measured against. Most other vendors' services
 // (SmartScreen, Web of Trust, Norton Safe Web, SiteAdvisor) still work
-// this way.
+// this way. Callers run in process and call Server.Lookup directly;
+// nothing serves the API over HTTP.
 package lookupapi
 
 import (
-	"bufio"
-	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -28,9 +24,6 @@ import (
 	"sbprivacy/internal/sbserver"
 	"sbprivacy/internal/urlx"
 )
-
-// Path is the HTTP endpoint of the Lookup API.
-const Path = "/safebrowsing/lookup"
 
 // maxBatch bounds URLs per request.
 const maxBatch = 500
@@ -118,98 +111,4 @@ func (s *Server) URLLog() []URLLogEntry {
 	out := make([]URLLogEntry, len(s.log))
 	copy(out, s.log)
 	return out
-}
-
-// Handler exposes the Lookup API over HTTP: newline-separated URLs in
-// the POST body (first line is the client id), newline-separated
-// verdicts in the response — mirroring the original API's plain format.
-func Handler(s *Server) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc(Path, func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		scanner := bufio.NewScanner(io.LimitReader(r.Body, 1<<20))
-		var clientID string
-		var urls []string
-		first := true
-		for scanner.Scan() {
-			line := strings.TrimSpace(scanner.Text())
-			if line == "" {
-				continue
-			}
-			if first {
-				clientID, first = line, false
-				continue
-			}
-			urls = append(urls, line)
-		}
-		if err := scanner.Err(); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		verdicts, err := s.Lookup(clientID, urls)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		for _, v := range verdicts {
-			fmt.Fprintln(w, v)
-		}
-	})
-	return mux
-}
-
-// Client is the plaintext client.
-type Client struct {
-	// BaseURL is the server root; empty means Direct is used.
-	BaseURL string
-	// HTTPClient defaults to http.DefaultClient.
-	HTTPClient *http.Client
-	// Direct short-circuits to an in-process server.
-	Direct *Server
-	// ClientID identifies the client (the cookie analogue).
-	ClientID string
-}
-
-// Check looks up URLs, over HTTP or directly.
-func (c *Client) Check(ctx context.Context, urls ...string) ([]string, error) {
-	if c.Direct != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return c.Direct.Lookup(c.ClientID, urls)
-	}
-	body := c.ClientID + "\n" + strings.Join(urls, "\n")
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+Path, strings.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	httpClient := c.HTTPClient
-	if httpClient == nil {
-		httpClient = http.DefaultClient
-	}
-	resp, err := httpClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close() //nolint:errcheck // read side
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("lookupapi: status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
-	var verdicts []string
-	scanner := bufio.NewScanner(resp.Body)
-	for scanner.Scan() {
-		verdicts = append(verdicts, scanner.Text())
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, err
-	}
-	if len(verdicts) != len(urls) {
-		return nil, fmt.Errorf("lookupapi: %d verdicts for %d URLs", len(verdicts), len(urls))
-	}
-	return verdicts, nil
 }

@@ -2,8 +2,6 @@ package lookupapi
 
 import (
 	"context"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -132,77 +130,17 @@ func TestLookupBatchLimit(t *testing.T) {
 	}
 }
 
-func TestLookupOverHTTP(t *testing.T) {
-	t.Parallel()
-	_, lookup := fixture(t)
-	ts := httptest.NewServer(Handler(lookup))
-	defer ts.Close()
-
-	client := &Client{BaseURL: ts.URL, HTTPClient: ts.Client(), ClientID: "http-user"}
-	verdicts, err := client.Check(context.Background(),
-		"http://evil.example/", "http://clean.example/")
-	if err != nil {
-		t.Fatalf("Check: %v", err)
-	}
-	if verdicts[0] != list || verdicts[1] != "ok" {
-		t.Errorf("verdicts = %v", verdicts)
-	}
-	log := lookup.URLLog()
-	if len(log) != 2 || log[0].ClientID != "http-user" {
-		t.Errorf("log = %+v", log)
-	}
-}
-
+// TestDirectClient: an in-process caller gets one verdict per URL, and
+// the provider logs the URL under that caller's identity.
 func TestDirectClient(t *testing.T) {
 	t.Parallel()
 	_, lookup := fixture(t)
-	client := &Client{Direct: lookup, ClientID: "direct"}
-	verdicts, err := client.Check(context.Background(), "http://evil.example/")
+	verdicts, err := lookup.Lookup("direct", []string{"http://evil.example/"})
 	if err != nil || len(verdicts) != 1 || verdicts[0] != list {
 		t.Errorf("verdicts = %v, err = %v", verdicts, err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := client.Check(ctx, "http://x.example/"); err == nil {
-		t.Error("cancelled context: want error")
-	}
-}
-
-func TestHTTPErrors(t *testing.T) {
-	t.Parallel()
-	_, lookup := fixture(t)
-	ts := httptest.NewServer(Handler(lookup))
-	defer ts.Close()
-
-	// GET is rejected.
-	resp, err := ts.Client().Get(ts.URL + Path)
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	resp.Body.Close() //nolint:errcheck // test
-	if resp.StatusCode != 405 {
-		t.Errorf("GET status = %d", resp.StatusCode)
-	}
-
-	// Unreachable server errors cleanly.
-	bad := &Client{BaseURL: "http://127.0.0.1:1", ClientID: "c"}
-	if _, err := bad.Check(context.Background(), "http://x.example/"); err == nil {
-		t.Error("unreachable: want error")
-	}
-}
-
-func TestHandlerSkipsBlankLines(t *testing.T) {
-	t.Parallel()
-	_, lookup := fixture(t)
-	ts := httptest.NewServer(Handler(lookup))
-	defer ts.Close()
-	resp, err := ts.Client().Post(ts.URL+Path, "text/plain",
-		strings.NewReader("cid\n\nhttp://evil.example/\n\n"))
-	if err != nil {
-		t.Fatalf("Post: %v", err)
-	}
-	defer resp.Body.Close() //nolint:errcheck // test
-	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d", resp.StatusCode)
+	log := lookup.URLLog()
+	if len(log) != 1 || log[0].ClientID != "direct" || log[0].URL != "evil.example/" {
+		t.Errorf("log = %+v", log)
 	}
 }
