@@ -121,14 +121,17 @@ race:
 	$(GO) test -race -vet=all ./...
 
 # order-check holds the probe pipeline's order contract — delivery
-# order is record order, across clients — at more than one GOMAXPROCS:
-# the pipeline's record-order test, the campaign's byte-identity and
-# global-time-order tests, and the tracking equality test (live ==
-# replay == follow, events in record order across cookies), each twice
-# at -cpu 1 and 4, under the race detector. CI's race-short job calls
-# this.
+# order is record order, across clients — and the client's chunk-order
+# contract — a client applies each list's chunks once, in order — at
+# more than one GOMAXPROCS: the pipeline's record-order test, the
+# campaign's byte-identity and global-time-order tests, the tracking
+# equality test (live == replay == follow, events in record order
+# across cookies), the overlapping-Update test and the list oracle's
+# client leg (per-step, lagging and restarted clients against
+# PrefixesOf), each twice at -cpu 1 and 4, under the race detector.
+# CI's race-short job calls this.
 order-check:
-	$(GO) test -race -cpu 1,4 -count 2 -run 'RecordOrder|ByteIdentical|ProbesAndClock|ReplayFeedsTracker' ./internal/sbserver/ ./internal/workload/ .
+	$(GO) test -race -cpu 1,4 -count 2 -run 'RecordOrder|ByteIdentical|ProbesAndClock|ReplayFeedsTracker|StaleDownload|ClientStoresMatchPrefixesOf' ./internal/sbserver/ ./internal/sbclient/ ./internal/workload/ .
 
 # fuzz-smoke runs each fuzz target for 10 s with two workers: the flat
 # serving index against its map model (FuzzIndexDifferential) and the
