@@ -276,6 +276,14 @@ func TestStaleDownloadDoesNotOverwriteNewer(t *testing.T) {
 		downloaded: make(chan struct{}),
 		release:    make(chan struct{}),
 	}
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(held.release)
+		}
+	}
+	defer release() // a failing test must not leave A blocked
 	c := New(held, []string{testList})
 	ctx := context.Background()
 
@@ -288,7 +296,7 @@ func TestStaleDownloadDoesNotOverwriteNewer(t *testing.T) {
 	if err := c.Update(ctx, true); err != nil {
 		t.Fatalf("Update B: %v", err)
 	}
-	close(held.release)
+	release()
 	if err := <-errA; err != nil {
 		t.Fatalf("Update A: %v", err)
 	}
