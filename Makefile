@@ -13,8 +13,9 @@ docs-check: vet
 
 # examples-check keeps the runnable surface honest: every example
 # builds, runs and prints exactly its committed examples/<name>/expected.txt
-# (each example is deterministic), and every command quoted in the
-# experiments playbook still parses its flags.
+# (each example is deterministic), and every "go run ./cmd/X ARGS"
+# quoted in the experiments playbook and the README still accepts its
+# ARGS (run with -h appended; see tools/doccheck).
 EXAMPLES := advisor mitigation privacymetrics quickstart tracker
 
 examples-check:
@@ -24,7 +25,7 @@ examples-check:
 		echo "examples/$$ex"; \
 		$(GO) run ./examples/$$ex > "$$out" && cmp "$$out" examples/$$ex/expected.txt || exit 1; \
 	done
-	$(GO) run ./tools/doccheck -cmds docs/EXPERIMENTS.md
+	$(GO) run ./tools/doccheck -cmds docs/EXPERIMENTS.md -cmds README.md
 
 # ablate-smoke runs the mitigation ablation grid on a small campaign
 # (every cell re-run and checked deep-equal) under a wall-clock budget;

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 
+	"sbprivacy/internal/ablation"
 	"sbprivacy/internal/core"
 	"sbprivacy/internal/probestore"
 	"sbprivacy/internal/stream"
@@ -69,7 +70,7 @@ func runCampaign(w io.Writer, opts campaignOptions) error {
 	// invocation works as-is afterwards). The probe store only treats
 	// seg-* files as its own, so the extra file is safe there.
 	indexPath := filepath.Join(dir, "index.urls")
-	if err := writeIndexFile(indexPath, camp.IndexExpressions()); err != nil {
+	if err := ablation.WriteIndexFile(indexPath, camp.IndexExpressions()); err != nil {
 		return errors.Join(err, store.Close())
 	}
 
@@ -92,21 +93,14 @@ func runCampaign(w io.Writer, opts campaignOptions) error {
 
 	// Score the linkage against the campaign's ground truth: the
 	// generator knows which cookies belonged to the same churning user.
-	correct := 0
-	for _, lk := range liveReport.Links {
-		if camp.SameUser(lk.From, lk.To) {
-			correct++
-		}
-	}
-	transitions := camp.ChurnTransitions()
-	if n := len(liveReport.Links); n > 0 {
+	score := ablation.ScoreLinkage(camp, liveReport, camp.ChurnTransitions())
+	if score.Links > 0 {
 		fmt.Fprintf(w, "ground truth: %d/%d links correct (precision %.2f), %d/%d true rotations caught (recall %.2f)\n",
-			correct, n, float64(correct)/float64(n),
-			correct, transitions,
-			float64(correct)/float64(max(1, transitions)))
+			score.Correct, score.Links, score.Precision,
+			score.Correct, score.Transitions, score.Recall)
 	} else {
 		fmt.Fprintf(w, "ground truth: no links found (%d true rotations in the campaign)\n",
-			transitions)
+			score.Transitions)
 	}
 
 	// The acceptance check: an offline replay of the store — a separate
@@ -141,37 +135,6 @@ func linkageFlags(l core.LongitudinalConfig) string {
 		fmt.Fprintf(&b, " -min-link-score %g", l.MinLinkScore)
 	}
 	return b.String()
-}
-
-// writeIndexFile writes the campaign's indexed expressions one per
-// line, the format sbanalyze -index reads. The file is written to a
-// temp name and renamed into place, so a concurrent reader (sbanalyze
-// -live polling for the index) sees either nothing or the whole file,
-// never a torn prefix.
-func writeIndexFile(path string, exprs []string) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".index-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()      //nolint:errcheck // already failing
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
-		return err
-	}
-	for _, e := range exprs {
-		if _, err := fmt.Fprintln(f, e); err != nil {
-			return fail(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
-		return err
-	}
-	return nil
 }
 
 // linkagePipeline builds the campaign's analysis over a freshly built

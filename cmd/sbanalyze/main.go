@@ -1,11 +1,8 @@
-// Command sbanalyze is the provider-side analysis tool. It has two
-// modes.
-//
-// Blacklist audit mode (the default) runs the paper's Section 7 audit
-// against the synthetic provider databases: orphan prefixes (Table 11),
-// database inversion (Table 10) and multi-prefix URLs (Table 12):
-//
-//	sbanalyze -provider yandex -scale 100
+// Command sbanalyze is the provider-side analysis tool over a probe
+// log. It has three modes, one of which must be given: replay
+// (-probe-store), follow (-follow) and live (-live); with none it exits
+// 2. The paper's Section 7 blacklist audits (Tables 9-12) are
+// "experiments -run table9" through "table12".
 //
 // Probe-log replay mode (-probe-store) replays a persisted probe log
 // written by "sbserver -probe-store" and runs the Section 6
@@ -96,7 +93,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"sbprivacy/internal/blacklist"
 	"sbprivacy/internal/core"
 	"sbprivacy/internal/probestore"
 	"sbprivacy/internal/sbserver"
@@ -111,10 +107,7 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
 	var (
-		provider     = fs.String("provider", "yandex", "google or yandex")
-		scale        = fs.Int("scale", 100, "scale divisor")
-		seed         = fs.Int64("seed", 2015, "generation seed")
-		storeDir     = fs.String("probe-store", "", "replay a persisted probe log from this directory instead of auditing blacklists")
+		storeDir     = fs.String("probe-store", "", "replay a persisted probe log from this directory")
 		followDir    = fs.String("follow", "", "tail a live probe-store directory, streaming probes until SIGINT")
 		indexFile    = fs.String("index", "", "file of URLs (one per line) forming the provider's web index for re-identification")
 		client       = fs.String("client", "", "print the probe history of one client cookie (replay/follow mode)")
@@ -144,6 +137,11 @@ func run(args []string) int {
 		if m != "" {
 			modes++
 		}
+	}
+	if modes == 0 {
+		fmt.Fprintln(os.Stderr, "sbanalyze: pick a mode: -probe-store DIR, -follow DIR or -live DIR\n"+
+			"(the Section 7 blacklist audits are \"experiments -run table9\" through \"table12\")")
+		return 2
 	}
 	if modes > 1 {
 		fmt.Fprintln(os.Stderr, "sbanalyze: -probe-store, -follow and -live are mutually exclusive")
@@ -183,85 +181,7 @@ func run(args []string) int {
 	if *followDir != "" {
 		return runFollow(*followDir, *indexFile, *client, window, *followPoll)
 	}
-	if *storeDir != "" {
-		return runReplay(*storeDir, *indexFile, *client, window, *longitudinal, linkage, *correlator, *snapshotOut)
-	}
-
-	var p blacklist.Provider
-	switch *provider {
-	case "google":
-		p = blacklist.Google
-	case "yandex":
-		p = blacklist.Yandex
-	default:
-		fmt.Fprintf(os.Stderr, "sbanalyze: unknown provider %q\n", *provider)
-		return 2
-	}
-	u, err := blacklist.BuildUniverse(blacklist.UniverseConfig{Provider: p, Scale: *scale, Seed: *seed})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sbanalyze: %v\n", err)
-		return 1
-	}
-
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	defer w.Flush() //nolint:errcheck // stdout flush at exit
-
-	fmt.Fprintf(w, "== orphan audit (%s, scale 1/%d) ==\n", p, *scale)
-	fmt.Fprintln(w, "list\t0 hash\t1 hash\t2 hash\ttotal\torphan rate")
-	for _, li := range u.Inventory {
-		n, err := u.Server.ListLen(li.Name)
-		if err != nil || n == 0 {
-			continue
-		}
-		rep, err := blacklist.AuditOrphans(u.Server, li.Name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sbanalyze: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%.4f\n",
-			li.Name, rep.Zero, rep.One, rep.Two, rep.Total, rep.OrphanRate())
-	}
-
-	fmt.Fprintf(w, "\n== inversion audit ==\n")
-	fmt.Fprintln(w, "list\tdataset\tmatches\trate")
-	for _, li := range u.Inventory {
-		if _, tracked := blacklist.Table10Rates[li.Name]; !tracked {
-			continue
-		}
-		for _, ds := range blacklist.InversionDatasets {
-			res, err := blacklist.Invert(u.Server, li.Name, ds.Name, u.Datasets()[ds.Name])
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sbanalyze: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(w, "%s\t%s\t%d\t%.3f\n", li.Name, ds.Name, res.Matches, res.Rate)
-		}
-	}
-
-	if p == blacklist.Yandex {
-		fmt.Fprintf(w, "\n== multi-prefix scan (Table 12 candidates) ==\n")
-		if err := u.PlantTable12("ydx-malware-shavar"); err != nil {
-			fmt.Fprintf(os.Stderr, "sbanalyze: %v\n", err)
-			return 1
-		}
-		hits, err := blacklist.FindMultiPrefixURLs(u.Server,
-			[]string{"ydx-malware-shavar"}, u.Table12Candidates(), 2)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sbanalyze: %v\n", err)
-			return 1
-		}
-		fmt.Fprintln(w, "URL\tmatching decomposition\tprefix")
-		for _, h := range hits {
-			for i := range h.Expressions {
-				url := ""
-				if i == 0 {
-					url = h.URL
-				}
-				fmt.Fprintf(w, "%s\t%s\t%v\n", url, h.Expressions[i], h.Prefixes[i])
-			}
-		}
-	}
-	return 0
+	return runReplay(*storeDir, *indexFile, *client, window, *longitudinal, linkage, *correlator, *snapshotOut)
 }
 
 // parseWindow builds the probe time filter from the -since/-until

@@ -206,6 +206,18 @@ func captureStdout(t *testing.T, fn func() int) (string, int) {
 	return string(<-out), rc
 }
 
+// TestRunNeedsAMode: without -probe-store, -follow or -live there is
+// nothing to analyze, and the blacklist-audit flags are gone (the
+// audits are experiments table9-table12), so each exits 2.
+func TestRunNeedsAMode(t *testing.T) {
+	t.Parallel()
+	for _, args := range [][]string{nil, {"-index", "urls.txt"}, {"-provider", "yandex", "-scale", "100"}} {
+		if rc := run(args); rc != 2 {
+			t.Errorf("run %q = %d, want 2", args, rc)
+		}
+	}
+}
+
 // TestLiveRejectsReplayOnlyFlags: -since, -until and -client select
 // probes in replay and follow mode; -live has no such filter, so it
 // refuses them instead of dropping them silently.

@@ -57,7 +57,7 @@ func run() int {
 		urlsFile  = flag.String("urls", "", "file of URLs (one per line) to blacklist on top of the synthetic lists")
 		urlsList  = flag.String("urls-list", "goog-malware-shavar", "list receiving -urls entries")
 		probeBuf  = flag.Int("probe-buffer", sbserver.DefaultProbeBuffer, "probe pipeline buffer size")
-		probeCap  = flag.Int("probe-log-limit", 0, "keep only the most recent N probes (0 = unbounded)")
+		probeCap  = flag.Int("probe-log-limit", 65536, "keep only the most recent N probes in the in-memory log (0 = unbounded)")
 		probeDrop = flag.Bool("probe-drop", false, "shed probes when the pipeline is saturated instead of applying backpressure")
 
 		storeDir      = flag.String("probe-store", "", "directory for the persistent probe store (empty = in-memory log only)")
@@ -70,23 +70,6 @@ func run() int {
 		maxInflight = flag.Int("max-inflight", 0, "max concurrent requests in flight before shedding with 429 (0 = unlimited)")
 	)
 	flag.Parse()
-
-	// With a durable store handling retention, an unbounded in-memory
-	// log would just re-accumulate every probe until OOM on a long run;
-	// bound it unless the operator chose a limit (0 stays honored when
-	// passed explicitly).
-	if *storeDir != "" {
-		logLimitSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "probe-log-limit" {
-				logLimitSet = true
-			}
-		})
-		if !logLimitSet {
-			*probeCap = 65536
-			log.Printf("probe store enabled: bounding in-memory probe log to %d (override with -probe-log-limit)", *probeCap)
-		}
-	}
 
 	var p blacklist.Provider
 	switch *provider {

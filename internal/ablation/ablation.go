@@ -208,20 +208,35 @@ type Report struct {
 	Cells []CellReport
 }
 
-// writeIndexFile writes the campaign's indexed expressions one per
-// line, the format sbanalyze -index reads.
-func writeIndexFile(path string, exprs []string) error {
-	f, err := os.Create(path)
+// WriteIndexFile writes a campaign's indexed expressions one per line,
+// the format sbanalyze -index reads. The file is written to a temp name
+// and renamed into place, so a concurrent reader (sbanalyze -live
+// polling for the index) sees either nothing or the whole file, never a
+// torn prefix, and a failed write leaves no file behind.
+func WriteIndexFile(path string, exprs []string) error {
+	f, err := os.CreateTemp(filepath.Dir(path), ".index-*")
 	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	fail := func(err error) error {
+		f.Close()      //nolint:errcheck // already failing
+		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
 		return err
 	}
 	for _, e := range exprs {
 		if _, err := fmt.Fprintln(f, e); err != nil {
-			f.Close() //nolint:errcheck // already failing
-			return err
+			return fail(err)
 		}
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return fail(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
+		return err
+	}
+	return nil
 }
 
 // policyFor builds a cell's per-client policy factory and the consent
@@ -258,8 +273,11 @@ func (f indexFilterSink) Observe(p sbserver.Probe) {
 	f.inner.Observe(p)
 }
 
-// scoreLinkage scores a longitudinal report against the campaign.
-func scoreLinkage(camp *workload.Campaign, rep *core.LongitudinalReport, transitions int) LinkageScore {
+// ScoreLinkage scores a day-over-day linkage report against the
+// campaign's ground truth: a link is correct when both cookies belong
+// to the same user, and transitions (Campaign.ChurnTransitions) is the
+// recall denominator.
+func ScoreLinkage(camp *workload.Campaign, rep *core.LongitudinalReport, transitions int) LinkageScore {
 	s := LinkageScore{Links: len(rep.Links), Transitions: transitions}
 	for _, lk := range rep.Links {
 		if camp.SameUser(lk.From, lk.To) {
@@ -285,7 +303,7 @@ func providerModel(index *core.Index, linkage core.LongitudinalConfig) *stream.P
 // scoreCell assembles one provider model's Scoring from its pipeline.
 func scoreCell(camp *workload.Campaign, model *stream.Pipeline, transitions int) Scoring {
 	snaps := model.Snapshot()
-	s := Scoring{Linkage: scoreLinkage(camp, snaps[1].Report.(*core.LongitudinalReport), transitions)}
+	s := Scoring{Linkage: ScoreLinkage(camp, snaps[1].Report.(*core.LongitudinalReport), transitions)}
 	for _, c := range snaps[0].Report.(*core.Report).Clients {
 		if len(c.ExactURLs) > 0 {
 			s.ReidentifiedCookies++
@@ -404,7 +422,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// ROOT/cell -index ROOT/index.urls -longitudinal".
 	indexPath := filepath.Join(root, "index.urls")
 	exprs := camp.IndexExpressions()
-	if err := writeIndexFile(indexPath, exprs); err != nil {
+	if err := WriteIndexFile(indexPath, exprs); err != nil {
 		return nil, err
 	}
 	index := core.NewIndex(exprs)

@@ -2,6 +2,7 @@ package ablation
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -157,6 +158,45 @@ func TestRunRejectsDirtyStoreRoot(t *testing.T) {
 	_, err := Run(context.Background(), cfg)
 	if err == nil || !strings.Contains(err.Error(), "already holds") {
 		t.Errorf("second Run into the same root: got %v, want already-holds error", err)
+	}
+}
+
+// TestWriteIndexFile: the index lands whole under its name with no temp
+// file left beside it, and a write whose rename fails leaves the old
+// path untouched and no temp file either.
+func TestWriteIndexFile(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "index.urls")
+	if err := WriteIndexFile(path, []string{"a.example/", "b.example/x"}); err != nil {
+		t.Fatalf("WriteIndexFile: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	if string(got) != "a.example/\nb.example/x\n" {
+		t.Errorf("index file = %q", got)
+	}
+
+	// A non-empty directory in the way makes the rename fail.
+	blocked := filepath.Join(dir, "blocked")
+	if err := os.MkdirAll(filepath.Join(blocked, "keep"), 0o755); err != nil {
+		t.Fatalf("MkdirAll: %v", err)
+	}
+	if err := WriteIndexFile(blocked, []string{"c.example/"}); err == nil {
+		t.Error("WriteIndexFile over a non-empty directory: want error")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("ReadDir: %v", err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, " ") != "blocked index.urls" {
+		t.Errorf("directory holds %q, want only blocked and index.urls", names)
 	}
 }
 

@@ -8,8 +8,8 @@
 //
 //   - Theorem 1 of Raab and Steger ("Balls into Bins - A Simple and Tight
 //     Analysis"), with its four density regimes;
-//   - a numerically exact Poisson estimator of the expected maximum and
-//     minimum load, used to cross-check the asymptotic formulas.
+//   - a numerically exact Poisson estimator of the expected maximum load,
+//     used to cross-check the asymptotic formulas.
 package ballsbins
 
 import (
@@ -219,34 +219,6 @@ func PoissonMaxLoad(m, n float64) (int, error) {
 	return limit, nil
 }
 
-// PoissonMinLoad estimates the expected minimum load: the largest k with
-// n * P[Poisson(m/n) <= k] < 1, i.e. even the emptiest prefix holds about
-// this many URLs. Returns 0 when empty bins are expected.
-func PoissonMinLoad(m, n float64) (int, error) {
-	if m <= 0 || n <= 0 {
-		return 0, fmt.Errorf("%w: m=%v n=%v", ErrBadParams, m, n)
-	}
-	lambda := m / n
-	logN := math.Log(n)
-	// P[X = 0] = e^-lambda; if n e^-lambda >= 1 empty bins are expected.
-	if logN-lambda >= 0 {
-		return 0, nil
-	}
-	lo := 0
-	hi := int(lambda) + 1
-	// Find the largest k with n P[X <= k] < 1 by linear walk from below
-	// lambda; the head probability grows quickly so the walk is short.
-	best := 0
-	for k := lo; k <= hi; k++ {
-		if logN+logPoissonHead(lambda, k) < 0 {
-			best = k
-		} else {
-			break
-		}
-	}
-	return best, nil
-}
-
 // logPoissonPMF returns ln P[Poisson(lambda) = k].
 func logPoissonPMF(lambda float64, k int) float64 {
 	lg, _ := math.Lgamma(float64(k) + 1)
@@ -268,22 +240,6 @@ func logPoissonTail(lambda float64, k int) float64 {
 		logP -= math.Log(1 - r)
 	} else {
 		logP += math.Log(float64(k))
-	}
-	return logP
-}
-
-// logPoissonHead returns ln P[Poisson(lambda) <= k] for k < lambda, via a
-// geometric bound on the downward ratio decay.
-func logPoissonHead(lambda float64, k int) float64 {
-	if float64(k) >= lambda {
-		return math.Log(0.5)
-	}
-	logP := logPoissonPMF(lambda, k)
-	// P[X <= k] = P[X=k](1 + k/lambda + k(k-1)/lambda^2 + ...)
-	// <= P[X=k] / (1 - k/lambda).
-	r := float64(k) / lambda
-	if r < 1 {
-		logP -= math.Log(1 - r)
 	}
 	return logP
 }

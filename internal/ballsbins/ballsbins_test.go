@@ -17,9 +17,6 @@ func TestMaxLoadValidation(t *testing.T) {
 	if _, err := PoissonMaxLoad(0, 1); err == nil {
 		t.Error("PoissonMaxLoad(0,1): want error")
 	}
-	if _, err := PoissonMinLoad(1, 0); err == nil {
-		t.Error("PoissonMinLoad(1,0): want error")
-	}
 }
 
 // TestTable5DenseCells pins the two URL cells of the paper's Table 5 that
@@ -154,27 +151,6 @@ func TestSolveDc(t *testing.T) {
 	}
 	if _, err := SolveDc(0); err == nil {
 		t.Error("SolveDc(0): want error")
-	}
-}
-
-func TestMinLoad(t *testing.T) {
-	t.Parallel()
-	// Dense case: Poisson min below the mean m/n but positive.
-	m, n := 30e12, math.Pow(2, 32)
-	minLoad, err := PoissonMinLoad(m, n)
-	if err != nil {
-		t.Fatalf("PoissonMinLoad: %v", err)
-	}
-	if minLoad <= 0 || float64(minLoad) >= m/n {
-		t.Errorf("PoissonMinLoad = %d, want in (0, %g)", minLoad, m/n)
-	}
-	// Sparse case: empty bins expected.
-	minLoad, err = PoissonMinLoad(100, math.Pow(2, 32))
-	if err != nil {
-		t.Fatalf("PoissonMinLoad sparse: %v", err)
-	}
-	if minLoad != 0 {
-		t.Errorf("sparse PoissonMinLoad = %d, want 0", minLoad)
 	}
 }
 

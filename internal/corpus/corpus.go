@@ -72,8 +72,6 @@ type Config struct {
 const (
 	DefaultAlpha          = 1.312
 	DefaultMaxURLsPerHost = 1000
-	// PaperMaxURLsPerHost is the crawl cap the paper observed.
-	PaperMaxURLsPerHost = 270000
 	// PaperRandomSinglePage is the single-page host share of the paper's
 	// random dataset.
 	PaperRandomSinglePage = 0.61

@@ -1,8 +1,6 @@
 package hashx
 
 import (
-	"errors"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -58,54 +56,6 @@ func TestDigestPrefixConsistency(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	t.Parallel()
-	d := Sum("example.com/")
-	tests := []struct {
-		bits    int
-		wantLen int
-		wantErr bool
-	}{
-		{8, 1, false},
-		{16, 2, false},
-		{32, 4, false},
-		{64, 8, false},
-		{80, 10, false},
-		{128, 16, false},
-		{256, 32, false},
-		{0, 0, true},
-		{4, 0, true},
-		{12, 0, true},
-		{257, 0, true},
-		{264, 0, true},
-		{-8, 0, true},
-	}
-	for _, tc := range tests {
-		got, err := d.Truncate(tc.bits)
-		if tc.wantErr {
-			if err == nil {
-				t.Errorf("Truncate(%d): want error, got nil", tc.bits)
-			}
-			if !errors.Is(err, ErrBadPrefixLen) {
-				t.Errorf("Truncate(%d): error not ErrBadPrefixLen: %v", tc.bits, err)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("Truncate(%d): unexpected error: %v", tc.bits, err)
-			continue
-		}
-		if len(got) != tc.wantLen {
-			t.Errorf("Truncate(%d): len = %d, want %d", tc.bits, len(got), tc.wantLen)
-		}
-		for i, b := range got {
-			if b != d[i] {
-				t.Errorf("Truncate(%d)[%d] = %02x, want %02x", tc.bits, i, b, d[i])
-			}
-		}
-	}
-}
-
 func TestPrefixString(t *testing.T) {
 	t.Parallel()
 	tests := []struct {
@@ -120,53 +70,6 @@ func TestPrefixString(t *testing.T) {
 	for _, tc := range tests {
 		if got := tc.p.String(); got != tc.want {
 			t.Errorf("Prefix(%d).String() = %q, want %q", uint32(tc.p), got, tc.want)
-		}
-	}
-}
-
-func TestParsePrefix(t *testing.T) {
-	t.Parallel()
-	tests := []struct {
-		in      string
-		want    Prefix
-		wantErr bool
-	}{
-		{"0xe70ee6d1", 0xe70ee6d1, false},
-		{"e70ee6d1", 0xe70ee6d1, false},
-		{"0XE70EE6D1", 0xe70ee6d1, false},
-		{"0x00354501", 0x00354501, false},
-		{"zzzz", 0, true},
-		{"e70e", 0, true},       // too short
-		{"e70ee6d1ff", 0, true}, // too long
-		{"", 0, true},
-	}
-	for _, tc := range tests {
-		got, err := ParsePrefix(tc.in)
-		if tc.wantErr != (err != nil) {
-			t.Errorf("ParsePrefix(%q): err = %v, wantErr = %v", tc.in, err, tc.wantErr)
-			continue
-		}
-		if err == nil && got != tc.want {
-			t.Errorf("ParsePrefix(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestParseDigest(t *testing.T) {
-	t.Parallel()
-	d := Sum("petsymposium.org/")
-	round, err := ParseDigest(d.String())
-	if err != nil {
-		t.Fatalf("ParseDigest round trip: %v", err)
-	}
-	if round != d {
-		t.Fatalf("ParseDigest(%q) = %v, want %v", d.String(), round, d)
-	}
-
-	bad := []string{"", "abcd", strings.Repeat("zz", 32), strings.Repeat("ab", 33)}
-	for _, in := range bad {
-		if _, err := ParseDigest(in); err == nil {
-			t.Errorf("ParseDigest(%q): want error, got nil", in)
 		}
 	}
 }
@@ -190,19 +93,15 @@ func TestPrefixFromBytes(t *testing.T) {
 	}
 }
 
-// TestPrefixRoundTripProperty checks Bytes/PrefixFromBytes and
-// String/ParsePrefix are inverses for arbitrary prefixes.
+// TestPrefixRoundTripProperty checks Bytes/PrefixFromBytes are inverses
+// for arbitrary prefixes.
 func TestPrefixRoundTripProperty(t *testing.T) {
 	t.Parallel()
 	f := func(v uint32) bool {
 		p := Prefix(v)
 		b := p.Bytes()
 		q, err := PrefixFromBytes(b[:])
-		if err != nil || q != p {
-			return false
-		}
-		r, err := ParsePrefix(p.String())
-		return err == nil && r == p
+		return err == nil && q == p
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

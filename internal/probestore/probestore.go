@@ -317,9 +317,6 @@ func (s *Store) releaseLock() {
 	s.lock = nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Observe implements sbserver.ProbeSink: the probe is encoded into the
 // write buffer and the buffer is spilled to the current segment once it
 // reaches the spill threshold. Encoding or disk errors cannot be

@@ -35,7 +35,6 @@ const (
 var (
 	ErrEmptyURL = errors.New("urlx: empty URL")
 	ErrNoHost   = errors.New("urlx: URL has no host")
-	ErrBadHost  = errors.New("urlx: malformed host")
 )
 
 // Canonical is a canonicalized URL, decomposed into the parts that matter

@@ -11,9 +11,12 @@
 //     resolve to files that exist in the repository.
 //
 // A fourth, opt-in pass (-cmds file.md) extracts every "go run ./cmd/X"
-// invocation quoted in a markdown file and verifies the command at
-// least parses its flags ("go run ./cmd/X -h" exits 0) — the guard that
-// keeps the experiments playbook runnable as the CLIs evolve.
+// invocation quoted in a markdown file and verifies the command still
+// accepts the quoted flags: each ./cmd/X is built once, then run with
+// the invocation's arguments (up to the first |, >, &, ;, #, backtick
+// or trailing \) followed by -h, which must print the usage and exit 0
+// — the guard that keeps the documented commands runnable as the CLIs
+// evolve.
 //
 // Usage:
 //
@@ -25,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -35,6 +39,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"time"
 )
 
 // defaultPackages are the packages whose exported API must be fully
@@ -62,7 +67,7 @@ func main() {
 	var mdFiles stringList
 	var cmdFiles stringList
 	flag.Var(&mdFiles, "md", "markdown file to link-check (repeatable)")
-	flag.Var(&cmdFiles, "cmds", "markdown file whose quoted 'go run ./cmd/X' commands must parse -h (repeatable)")
+	flag.Var(&cmdFiles, "cmds", "markdown file whose quoted 'go run ./cmd/X ARGS' commands must accept ARGS -h (repeatable)")
 	flag.Parse()
 
 	pkgs := flag.Args()
@@ -83,8 +88,8 @@ func main() {
 	for _, md := range mdFiles {
 		problems += lintLinks(md)
 	}
-	for _, md := range cmdFiles {
-		problems += checkQuotedCommands(md)
+	if len(cmdFiles) > 0 {
+		problems += checkQuotedCommands(cmdFiles)
 	}
 	if problems > 0 {
 		fmt.Fprintf(os.Stderr, "doccheck: %d problem(s)\n", problems)
@@ -158,39 +163,66 @@ func lintPackageComment(dir string) int {
 	return problems
 }
 
-// goRunCmd matches "go run ./cmd/<name>" invocations quoted in docs.
-var goRunCmd = regexp.MustCompile(`go run (\./cmd/[a-z]+)`)
+// goRunCmd matches a "go run ./cmd/<name> ARGS" invocation quoted in
+// docs; ARGS ends at the first shell metacharacter, comment, backtick
+// (an inline code span) or line continuation.
+var goRunCmd = regexp.MustCompile(`go run (\./cmd/[a-z]+)([^|>&;#\\\n` + "`" + `]*)`)
 
-// checkQuotedCommands extracts every distinct "go run ./cmd/X" from a
-// markdown file and verifies "go run ./cmd/X -h" exits 0 — i.e. the
-// quoted command still exists and parses flags. Returns the number of
-// failures.
-func checkQuotedCommands(md string) int {
-	data, err := os.ReadFile(md)
+// checkQuotedCommands builds every ./cmd/X quoted in the markdown files
+// once and runs each distinct quoted invocation's arguments followed by
+// -h: the command must reach -h (print its usage) and exit 0, so every
+// quoted flag still exists and parses. Returns the number of failures.
+func checkQuotedCommands(mds []string) int {
+	bin, err := os.MkdirTemp("", "doccheck-")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 		return 1
 	}
+	defer os.RemoveAll(bin) //nolint:errcheck // best-effort cleanup
+	built := make(map[string]bool)
 	seen := make(map[string]bool)
-	var cmds []string
-	for _, m := range goRunCmd.FindAllStringSubmatch(string(data), -1) {
-		if !seen[m[1]] {
-			seen[m[1]] = true
-			cmds = append(cmds, m[1])
-		}
-	}
-	if len(cmds) == 0 {
-		fmt.Fprintf(os.Stderr, "doccheck: %s quotes no 'go run ./cmd/...' commands\n", md)
-		return 1
-	}
 	problems := 0
-	for _, pkg := range cmds {
-		cmd := exec.Command("go", "run", pkg, "-h")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: %s: 'go run %s -h' failed: %v\n%s", md, pkg, err, out)
+	for _, md := range mds {
+		data, err := os.ReadFile(md)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 			problems++
-		} else {
-			fmt.Printf("doccheck: %s -h ok (quoted in %s)\n", pkg, md)
+			continue
+		}
+		found := goRunCmd.FindAllStringSubmatch(string(data), -1)
+		if len(found) == 0 {
+			fmt.Fprintf(os.Stderr, "doccheck: %s quotes no 'go run ./cmd/...' commands\n", md)
+			problems++
+		}
+		for _, m := range found {
+			pkg, args := m[1], strings.Fields(m[2])
+			quoted := strings.Join(append([]string{pkg}, args...), " ")
+			if seen[quoted] {
+				continue
+			}
+			seen[quoted] = true
+			exe := filepath.Join(bin, filepath.Base(pkg))
+			if !built[pkg] {
+				if out, err := exec.Command("go", "build", "-o", exe, pkg).CombinedOutput(); err != nil {
+					fmt.Fprintf(os.Stderr, "doccheck: 'go build %s' failed: %v\n%s", pkg, err, out)
+					return problems + 1
+				}
+				built[pkg] = true
+			}
+			// A positional argument would end flag parsing and run the
+			// command for real; the timeout bounds that mistake.
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			out, err := exec.CommandContext(ctx, exe, append(args, "-h")...).CombinedOutput()
+			cancel()
+			if err == nil && !strings.Contains(string(out), "Usage of") {
+				err = fmt.Errorf("-h not reached (a positional argument ends flag parsing)")
+			}
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "doccheck: %s: 'go run %s' with -h appended failed: %v\n%s", md, quoted, err, out)
+				problems++
+			} else {
+				fmt.Printf("doccheck: %s -h ok (quoted in %s)\n", quoted, md)
+			}
 		}
 	}
 	return problems
