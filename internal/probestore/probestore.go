@@ -20,13 +20,10 @@
 // (WithSpillThreshold), on Flush, and on Close. A crash loses at most
 // the buffered tail — one buffer, 64 KiB by default; a crash mid-write
 // leaves a torn final record, which Open detects and truncates, so
-// every record before the tear survives. A rotated segment is synced,
-// closed and given its sidecar by a background seal, so no Observe
-// waits on a segment's fsync; Flush and Close wait for every seal still
-// running, and a rotation waits only when four already are. Segment
-// files are immutable once rotated, which makes retention
-// (WithRetainSegments / WithRetainBytes) a whole-file delete of the
-// oldest segment — no compaction, no rewrite.
+// every record before the tear survives. Segment files are immutable
+// once rotated, which makes retention (WithRetainSegments /
+// WithRetainBytes) a whole-file delete of the oldest segment — no
+// compaction, no rewrite.
 //
 // Sealed segments carry an index sidecar (seg-NNNNNNNN.pidx, the
 // wire.MsgProbeIndex format): the segment's record count, byte extent,
@@ -85,7 +82,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sbprivacy/internal/bloom"
 	"sbprivacy/internal/hashx"
 	"sbprivacy/internal/sbserver"
 	"sbprivacy/internal/wire"
@@ -244,9 +240,6 @@ type Store struct {
 	segments []*segmentInfo // live segments in id order, including current
 	closed   bool
 	writeErr error
-	// sealing holds the rotated segments whose background seal has not
-	// been harvested yet, oldest first.
-	sealing []*sealJob
 	// detached collects the index read handles of segments that left the
 	// store while mu was held (retention, Close); unlock closes them.
 	detached []*os.File
@@ -455,60 +448,26 @@ func (s *Store) spillLocked() error {
 	return err
 }
 
-// maxSealing bounds the rotated segments that may be sealing in the
-// background at once; a rotation past it waits for the oldest, so a
-// disk slower than the write rate slows the writer down instead of
-// piling up open files.
-const maxSealing = 4
-
-// sealJob is one rotated segment being sealed in the background.
-type sealJob struct {
-	seg *segmentInfo
-	res chan sealResult // receives exactly one result
-}
-
-// sealResult is what a background seal hands back.
-type sealResult struct {
-	// err is the sync or close failure of the segment file: its tail
-	// may not be durable, and it gets no sidecar.
-	err error
-	// filter is the sealed sidecar's filter; nil if none was written.
-	filter     *bloom.Filter
-	sidecarErr error
-}
-
-// seal syncs and closes a rotated segment file and writes its index
-// sidecar. It runs on its own goroutine and touches no store state:
-// the segment's metadata is passed in, and it no longer changes once
-// the segment has been rotated away from.
-func seal(dir string, f *os.File, id uint64, clients map[string]bool, records int, bytes int64) sealResult {
-	if err := f.Sync(); err != nil {
-		f.Close() //nolint:errcheck // already failing
-		return sealResult{err: fmt.Errorf("probestore: sync segment %d: %w", id, err)}
-	}
-	if err := f.Close(); err != nil {
-		return sealResult{err: fmt.Errorf("probestore: close segment %d: %w", id, err)}
-	}
-	filter, err := writeSidecar(dir, id, clients, records, bytes)
-	return sealResult{filter: filter, sidecarErr: err}
-}
-
-// rotateLocked hands the current segment (if any) to a background seal
-// — sync, close, and write its index sidecar — opens the next one, and
-// then applies retention: after the append, so the live set (current
-// segment included) respects the limits at rest, not just between
-// rotations. The seal's fsync stays off the write path: Observe never
-// waits for a rotated segment to reach disk unless maxSealing seals are
-// already outstanding. The caller holds s.mu.
+// rotateLocked seals the current segment (if any) — sync, close, and
+// write its index sidecar — opens the next one, and then applies
+// retention: after the append, so the live set (current segment
+// included) respects the limits at rest, not just between rotations.
+// The caller holds s.mu.
 func (s *Store) rotateLocked() error {
 	if s.cur != nil {
-		seg := s.segments[len(s.segments)-1]
-		j := &sealJob{seg: seg, res: make(chan sealResult, 1)}
-		f, id, clients, records, bytes := s.cur, s.curID, seg.clients, seg.records, seg.bytes
-		go func() { j.res <- seal(s.dir, f, id, clients, records, bytes) }()
-		s.sealing = append(s.sealing, j)
+		if err := s.cur.Sync(); err != nil {
+			return fmt.Errorf("probestore: sync segment %d: %w", s.curID, err)
+		}
+		if err := s.cur.Close(); err != nil {
+			return fmt.Errorf("probestore: close segment %d: %w", s.curID, err)
+		}
 		s.cur = nil
-		s.reapSealsLocked(maxSealing - 1)
+		// The sidecar is an optimization, not a durability promise: a
+		// failed write is noted and the sealed segment simply costs a
+		// scan on the next Open.
+		if err := s.writeSidecarLocked(s.segments[len(s.segments)-1]); err != nil {
+			s.noteErrLocked(err)
+		}
 	}
 	id := uint64(1)
 	if n := len(s.segments); n > 0 {
@@ -538,45 +497,6 @@ func (s *Store) rotateLocked() error {
 	})
 	s.pruneLocked()
 	return nil
-}
-
-// reapSealsLocked harvests the background seals that have finished,
-// first waiting for the oldest until at most keep are left running
-// (keep 0 waits for all of them). A harvested seal's errors are noted
-// for Flush and Close, and its filter is published on the segment,
-// which drops the exact client set; a sidecar sealed for a segment that
-// retention evicted meanwhile is deleted. The caller holds s.mu.
-func (s *Store) reapSealsLocked(keep int) {
-	left := s.sealing[:0]
-	for i, j := range s.sealing {
-		var r sealResult
-		if len(s.sealing)-i > keep {
-			r = <-j.res
-		} else {
-			select {
-			case r = <-j.res:
-			default:
-				left = append(left, j)
-				continue
-			}
-		}
-		if r.err != nil {
-			s.noteErrLocked(r.err)
-		}
-		if r.sidecarErr != nil {
-			s.noteErrLocked(r.sidecarErr)
-		}
-		switch {
-		case r.filter == nil:
-		case j.seg.missing:
-			os.Remove(sidecarPath(s.dir, j.seg.id)) //nolint:errcheck // best effort; orphans are tidied at Open
-		default:
-			j.seg.filter = r.filter
-			j.seg.clients = nil
-		}
-	}
-	clear(s.sealing[len(left):])
-	s.sealing = left
 }
 
 // pruneLocked applies the retention limits by deleting the oldest
@@ -651,8 +571,6 @@ func (s *Store) flushLocked() error {
 	if err := s.spillLocked(); err != nil {
 		s.noteErrLocked(err)
 	}
-	// The rotated segments' seals are part of what Flush makes durable.
-	s.reapSealsLocked(0)
 	if s.cur != nil {
 		if err := s.cur.Sync(); err != nil {
 			s.noteErrLocked(fmt.Errorf("probestore: sync segment %d: %w", s.curID, err))

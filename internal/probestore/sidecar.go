@@ -56,67 +56,56 @@ func clientFilter(clients map[string]bool) (*bloom.Filter, error) {
 }
 
 // writeSidecarLocked seals one segment's metadata into its sidecar
-// file (writeSidecar). Once the file is in place the segment's filter
+// file, written to a temporary name and renamed so a reader never
+// observes a half-written sidecar under the final name (a torn sidecar
+// would merely cost that reader a scan, but the rename makes the happy
+// path the common one). Once the file is in place the segment's filter
 // is set and the exact client set it was built from is released: a
 // sealed segment is (id, bytes, records, filter) whether this process
 // wrote it or adopted it. A failed write keeps the set, which then goes
 // on answering for the segment. The caller holds s.mu, or is the
 // single-threaded recovery path.
 func (s *Store) writeSidecarLocked(seg *segmentInfo) error {
-	f, err := writeSidecar(s.dir, seg.id, seg.clients, seg.records, seg.bytes)
+	f, err := clientFilter(seg.clients)
 	if err != nil {
-		return err
-	}
-	seg.filter = f
-	seg.clients = nil
-	return nil
-}
-
-// writeSidecar writes segment id's sidecar under dir and returns the
-// filter it holds. The file is written to a temporary name and renamed
-// so a reader never observes a half-written sidecar under the final
-// name (a torn sidecar would merely cost that reader a scan, but the
-// rename makes the happy path the common one). It touches no store
-// state, so a background seal runs it without s.mu.
-func writeSidecar(dir string, id uint64, clients map[string]bool, records int, bytes int64) (*bloom.Filter, error) {
-	f, err := clientFilter(clients)
-	if err != nil {
-		return nil, fmt.Errorf("probestore: sidecar %d: %w", id, err)
+		return fmt.Errorf("probestore: sidecar %d: %w", seg.id, err)
 	}
 	data, err := f.MarshalBinary()
 	if err != nil {
-		return nil, fmt.Errorf("probestore: sidecar %d: %w", id, err)
+		return fmt.Errorf("probestore: sidecar %d: %w", seg.id, err)
 	}
 	idx := &wire.ProbeIndex{
-		SegmentID: id,
-		Records:   uint64(records),
-		Bytes:     bytes,
+		SegmentID: seg.id,
+		Records:   uint64(seg.records),
+		Bytes:     seg.bytes,
 		Bloom:     data,
 	}
-	tmp := sidecarPath(dir, id) + ".tmp"
+	tmp := sidecarPath(s.dir, seg.id) + ".tmp"
 	out, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("probestore: sidecar %d: %w", id, err)
+		return fmt.Errorf("probestore: sidecar %d: %w", seg.id, err)
 	}
 	if err := idx.Encode(out); err != nil {
 		out.Close()    //nolint:errcheck // already failing
 		os.Remove(tmp) //nolint:errcheck // best effort
-		return nil, fmt.Errorf("probestore: sidecar %d: %w", id, err)
+		return fmt.Errorf("probestore: sidecar %d: %w", seg.id, err)
 	}
 	if err := out.Sync(); err != nil {
 		out.Close()    //nolint:errcheck // already failing
 		os.Remove(tmp) //nolint:errcheck // best effort
-		return nil, fmt.Errorf("probestore: sidecar %d: %w", id, err)
+		return fmt.Errorf("probestore: sidecar %d: %w", seg.id, err)
 	}
 	if err := out.Close(); err != nil {
 		os.Remove(tmp) //nolint:errcheck // best effort
-		return nil, fmt.Errorf("probestore: sidecar %d: %w", id, err)
+		return fmt.Errorf("probestore: sidecar %d: %w", seg.id, err)
 	}
-	if err := os.Rename(tmp, sidecarPath(dir, id)); err != nil {
+	if err := os.Rename(tmp, sidecarPath(s.dir, seg.id)); err != nil {
 		os.Remove(tmp) //nolint:errcheck // best effort
-		return nil, fmt.Errorf("probestore: sidecar %d: %w", id, err)
+		return fmt.Errorf("probestore: sidecar %d: %w", seg.id, err)
 	}
-	return f, nil
+	seg.filter = f
+	seg.clients = nil
+	return nil
 }
 
 // loadSidecar reads and verifies segment id's sidecar, returning the

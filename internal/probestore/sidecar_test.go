@@ -70,84 +70,6 @@ func TestSidecarSealsEverySegment(t *testing.T) {
 	}
 }
 
-// TestRotationSealsInBackground: a rotated segment is synced and sealed
-// off the write path, never more than maxSealing at a time, and Flush
-// harvests every seal — each segment but the tail then carries its
-// sidecar and its filter, with the exact client set released.
-func TestRotationSealsInBackground(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, WithMaxSegmentBytes(512), WithSpillThreshold(1))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer mustClose(t, s)
-	for i := 0; i < 200; i++ {
-		s.Observe(probe(fmt.Sprintf("client-%d", i%7), i))
-		s.mu.Lock()
-		pending := len(s.sealing)
-		s.mu.Unlock()
-		if pending > maxSealing {
-			t.Fatalf("after probe %d: %d seals outstanding, want at most %d", i, pending, maxSealing)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	segs := s.Segments()
-	if len(segs) < 3 {
-		t.Fatalf("want several segments, got %+v", segs)
-	}
-	have := sidecarFiles(t, dir)
-	for _, seg := range segs[:len(segs)-1] {
-		if !seg.HasSidecar || !have[seg.ID] {
-			t.Errorf("segment %d after Flush: HasSidecar=%v, file %v; want both", seg.ID, seg.HasSidecar, have[seg.ID])
-		}
-	}
-	s.mu.Lock()
-	for _, seg := range s.segments[:len(s.segments)-1] {
-		if seg.clients != nil {
-			t.Errorf("sealed segment %d still holds its exact client set", seg.id)
-		}
-	}
-	if len(s.sealing) != 0 {
-		t.Errorf("%d seals left after Flush", len(s.sealing))
-	}
-	s.mu.Unlock()
-	for c := 0; c < 7; c++ {
-		hist, err := s.ClientHistory(fmt.Sprintf("client-%d", c))
-		if err != nil {
-			t.Fatalf("ClientHistory: %v", err)
-		}
-		want := 200 / 7
-		if c < 200%7 {
-			want++
-		}
-		if len(hist) != want {
-			t.Errorf("client-%d history = %d probes, want %d", c, len(hist), want)
-		}
-	}
-	if st := s.Stats(); st.WriteErrors != 0 {
-		t.Errorf("writer hit errors: %+v", st)
-	}
-}
-
-// TestSealOfEvictedSegmentLeavesNoSidecar: retention may delete a
-// rotated segment while its background seal is still running; the
-// sidecar that seal writes must not outlive the segment.
-func TestSealOfEvictedSegmentLeavesNoSidecar(t *testing.T) {
-	dir := t.TempDir()
-	segs := writeProbes(t, dir, 300, WithMaxSegmentBytes(256), WithSpillThreshold(1), WithRetainSegments(1))
-	live := make(map[uint64]bool)
-	for _, seg := range segs {
-		live[seg.ID] = true
-	}
-	for id := range sidecarFiles(t, dir) {
-		if !live[id] {
-			t.Errorf("sidecar of evicted segment %d left on disk (live %v)", id, live)
-		}
-	}
-}
-
 // TestSidecarFallbackToScan: a missing, torn, or stale sidecar demotes
 // the segment to a full scan — the data is still served correctly.
 func TestSidecarFallbackToScan(t *testing.T) {
