@@ -135,13 +135,16 @@ order-check:
 	$(GO) test -race -cpu 1,4 -count 2 -run 'RecordOrder|ByteIdentical|ProbesAndClock|ReplayFeedsTracker|StaleDownload|ClientStoresMatchPrefixesOf' ./internal/sbserver/ ./internal/sbclient/ ./internal/workload/ .
 
 # fuzz-smoke runs each fuzz target for 10 s with two workers: the flat
-# serving index against its map model (FuzzIndexDifferential) and the
-# probe-frame decoder against hostile bytes (FuzzProbeFrame). Plain
+# serving index against its map model (FuzzIndexDifferential), the
+# probe-frame decoder against hostile bytes (FuzzProbeFrame), and the
+# download-response decoder, which reads both list updates and the
+# client's state file (FuzzDownloadResponse). Plain
 # "go test" only replays their committed corpora; this explores past
 # them. CI's race-short job calls this.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexDifferential$$' -fuzztime 10s -parallel 2 ./internal/sbserver
 	$(GO) test -run '^$$' -fuzz '^FuzzProbeFrame$$' -fuzztime 10s -parallel 2 ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDownloadResponse$$' -fuzztime 10s -parallel 2 ./internal/wire
 
 bench:
 	$(GO) test -run xxx -bench 'ServerConcurrent|AblationServerSeedDesign' -cpu=1,8 -benchmem .

@@ -6,12 +6,20 @@
 //
 //	sbclient -server http://127.0.0.1:8045 -lists goog-malware-shavar \
 //	    http://example.com/ http://evil.example/attack
+//
+// With -state FILE the local database survives between runs: FILE holds
+// a wire download response with one add chunk per list (see
+// sbclient.SaveState). A state file the client cannot read, such as one
+// written in the client's earlier "SBST" format, is reported with
+// "(starting fresh)" and the lists are downloaded again.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -20,19 +28,26 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		server    = flag.String("server", "http://127.0.0.1:8045", "Safe Browsing server base URL")
-		lists     = flag.String("lists", "goog-malware-shavar,googpub-phish-shavar", "comma-separated list names")
-		cookie    = flag.String("cookie", "", "Safe Browsing cookie (default: random)")
-		statePath = flag.String("state", "", "path to persist the local database across runs")
+		server    = fs.String("server", "http://127.0.0.1:8045", "Safe Browsing server base URL")
+		lists     = fs.String("lists", "goog-malware-shavar,googpub-phish-shavar", "comma-separated list names")
+		cookie    = fs.String("cookie", "", "Safe Browsing cookie (default: random)")
+		statePath = fs.String("state", "", "path to persist the local database across runs")
 	)
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "sbclient: no URLs given")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "sbclient: no URLs given")
 		return 2
 	}
 
@@ -51,9 +66,9 @@ func run() int {
 			err = client.LoadState(f)
 			f.Close() //nolint:errcheck // read side
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "sbclient: load state: %v (starting fresh)\n", err)
+				fmt.Fprintf(stderr, "sbclient: load state: %v (starting fresh)\n", err)
 			} else {
-				fmt.Printf("restored local database from %s\n", *statePath)
+				fmt.Fprintf(stdout, "restored local database from %s\n", *statePath)
 			}
 		}
 	}
@@ -61,32 +76,32 @@ func run() int {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := client.Update(ctx, true); err != nil {
-		fmt.Fprintf(os.Stderr, "sbclient: update: %v\n", err)
+		fmt.Fprintf(stderr, "sbclient: update: %v\n", err)
 		return 1
 	}
-	fmt.Printf("local database: %d bytes across %s\n", client.LocalSizeBytes(), *lists)
+	fmt.Fprintf(stdout, "local database: %d bytes across %s\n", client.LocalSizeBytes(), *lists)
 
 	if *statePath != "" {
 		defer func() {
 			f, err := os.Create(*statePath)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "sbclient: save state: %v\n", err)
+				fmt.Fprintf(stderr, "sbclient: save state: %v\n", err)
 				return
 			}
 			if err := client.SaveState(f); err != nil {
-				fmt.Fprintf(os.Stderr, "sbclient: save state: %v\n", err)
+				fmt.Fprintf(stderr, "sbclient: save state: %v\n", err)
 			}
 			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "sbclient: save state: %v\n", err)
+				fmt.Fprintf(stderr, "sbclient: save state: %v\n", err)
 			}
 		}()
 	}
 
 	exit := 0
-	for _, url := range flag.Args() {
+	for _, url := range fs.Args() {
 		v, err := client.CheckURL(ctx, url)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sbclient: %s: %v\n", url, err)
+			fmt.Fprintf(stderr, "sbclient: %s: %v\n", url, err)
 			exit = 1
 			continue
 		}
@@ -94,18 +109,18 @@ func run() int {
 		if !v.Safe {
 			verdict = "MALICIOUS"
 		}
-		fmt.Printf("%s -> %s\n", url, verdict)
-		fmt.Printf("  canonical: %s\n", v.Canonical)
+		fmt.Fprintf(stdout, "%s -> %s\n", url, verdict)
+		fmt.Fprintf(stdout, "  canonical: %s\n", v.Canonical)
 		for _, h := range v.LocalHits {
-			fmt.Printf("  local hit: %s (%v) in %s\n", h.Expression, h.Prefix, h.List)
+			fmt.Fprintf(stdout, "  local hit: %s (%v) in %s\n", h.Expression, h.Prefix, h.List)
 		}
 		if len(v.SentPrefixes) > 0 {
-			fmt.Printf("  leaked to provider: %v\n", v.SentPrefixes)
+			fmt.Fprintf(stdout, "  leaked to provider: %v\n", v.SentPrefixes)
 		} else {
-			fmt.Printf("  leaked to provider: nothing\n")
+			fmt.Fprintf(stdout, "  leaked to provider: nothing\n")
 		}
 		for _, m := range v.Matches {
-			fmt.Printf("  confirmed: %s in %s\n", m.Expression, m.List)
+			fmt.Fprintf(stdout, "  confirmed: %s in %s\n", m.Expression, m.List)
 		}
 	}
 	return exit

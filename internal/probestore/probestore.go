@@ -169,10 +169,12 @@ type config struct {
 	readOnly        bool
 }
 
-// WithMaxSegmentBytes sets the segment rotation size. Segments rotate
-// before exceeding n bytes (a single record larger than n still fits:
-// the segment then holds just that record). Non-positive values fall
-// back to DefaultMaxSegmentBytes.
+// WithMaxSegmentBytes sets the segment rotation size. A spill rotates
+// to a fresh segment when the write buffer would take the current one
+// past n bytes, then writes the whole buffer there, so n is a soft
+// bound: a segment can exceed it by up to the spill threshold (see
+// WithSpillThreshold) plus one record, or by a backlog of failed spills.
+// Non-positive values fall back to DefaultMaxSegmentBytes.
 func WithMaxSegmentBytes(n int64) Option {
 	return func(c *config) { c.maxSegmentBytes = n }
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"sbprivacy/internal/prefixdb"
+	"sbprivacy/internal/wire"
 )
 
 // TestSaveLoadRoundTrip: a restarted client restores its database and
@@ -153,9 +155,25 @@ func TestLoadStateRejectsCorruption(t *testing.T) {
 	}
 	// Bad version.
 	bad = append([]byte{}, raw...)
-	bad[4] = 99
+	bad[1] = 99
 	if err := fresh().LoadState(bytes.NewReader(bad)); !errors.Is(err, ErrBadStateFile) {
 		t.Errorf("bad version: err = %v", err)
+	}
+	// A sub chunk, and a list that appears twice.
+	for name, state := range map[string]wire.DownloadResponse{
+		"sub chunk": {Chunks: []wire.Chunk{{List: testList, Num: 1, Type: wire.ChunkSub}}},
+		"list twice": {Chunks: []wire.Chunk{
+			{List: testList, Num: 1, Type: wire.ChunkAdd},
+			{List: testList, Num: 2, Type: wire.ChunkAdd},
+		}},
+	} {
+		var enc bytes.Buffer
+		if err := state.Encode(&enc); err != nil {
+			t.Fatalf("%s: Encode: %v", name, err)
+		}
+		if err := fresh().LoadState(&enc); !errors.Is(err, ErrBadStateFile) {
+			t.Errorf("%s: err = %v", name, err)
+		}
 	}
 	// Truncations at every byte boundary fail cleanly.
 	for cut := 0; cut < len(raw); cut++ {
@@ -196,5 +214,32 @@ func TestLoadStateClearsCache(t *testing.T) {
 	}
 	if v.FromCache {
 		t.Error("cache survived LoadState")
+	}
+}
+
+// TestLoadStateHostileCountAllocatesLittle: a state file that declares
+// far more prefixes than it carries fails without allocating for the
+// declared count. Each input is 13 bytes: a file in the client's former
+// "SBST" format declaring 2^26 prefixes, and two download responses
+// whose one chunk declares 2^26 and 2^21 (the wire limit) prefixes. Not
+// parallel: TotalAlloc is process-wide.
+func TestLoadStateHostileCountAllocatesLittle(t *testing.T) {
+	inputs := map[string][]byte{
+		"SBST 2^26":     {'S', 'B', 'S', 'T', 1, 1, 1, 'x', 0, 0x80, 0x80, 0x80, 0x20},
+		"response 2^26": {0x53, 1, 2, 0, 1, 1, 'x', 0, 1, 0x80, 0x80, 0x80, 0x20},
+		"response 2^21": {0x53, 1, 2, 0, 1, 1, 'x', 0, 1, 0x80, 0x80, 0x80, 0x01},
+	}
+	c := New(LocalTransport{}, []string{testList})
+	for name, in := range inputs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.LoadState(bytes.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadStateFile) {
+			t.Errorf("%s: err = %v, want ErrBadStateFile", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+			t.Errorf("%s: allocated %d MiB for a %d-byte file", name, got>>20, len(in))
+		}
 	}
 }
